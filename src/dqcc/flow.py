@@ -63,21 +63,29 @@ def dump_solution(solution: Solution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _assignment_ok(
-    tau: dict[int, int], relations: RelationTable, upto: int
-) -> bool:
-    """Precedence feasibility of a (partial) assignment covering commodity
-    indices 1..upto: a later-layer operation completes strictly after any
-    earlier one it cannot share a step with, and no earlier than one it can."""
-    for j in range(1, upto):
-        if not relations.prec(j, upto):
-            continue
-        if relations.qp(j, upto):
-            if tau[upto] < tau[j]:
-                return False
-        elif tau[upto] <= tau[j]:
-            return False
-    return True
+def _precedence(
+    commodities: list[Commodity], relations: RelationTable
+) -> tuple[dict[int, list[tuple[int, int]]], dict[int, int]]:
+    """Precedence as per-commodity lists, built once per solver call.
+
+    ``preds[i]`` holds (j, gap) for every predecessor j of i: i completes
+    no earlier than step tau[j] + gap, where gap is 0 if the two may share
+    a step and 1 otherwise. ``tail[i]`` is the longest gap-weighted chain of
+    successors of i (a reverse pass over the relation table), so in any
+    schedule within horizon d commodity i completes by step d - tail[i].
+    """
+    preds: dict[int, list[tuple[int, int]]] = {c.index: [] for c in commodities}
+    succs: dict[int, list[tuple[int, int]]] = {c.index: [] for c in commodities}
+    for a in commodities:
+        for b in commodities:
+            if relations.prec(a.index, b.index):
+                gap = 0 if relations.qp(a.index, b.index) else 1
+                preds[b.index].append((a.index, gap))
+                succs[a.index].append((b.index, gap))
+    tail: dict[int, int] = {}
+    for i in sorted(succs, reverse=True):
+        tail[i] = max((gap + tail[j] for j, gap in succs[i]), default=0)
+    return preds, tail
 
 
 class _Router:
@@ -139,15 +147,23 @@ def solve_fixed_horizon(
     d: int,
     stats: SolverStats | None = None,
     router: _Router | None = None,
+    first_feasible: bool = False,
 ) -> Solution | None:
     """Minimum-total-flow schedule within horizon d, or None if infeasible.
 
-    Completion steps are searched in lexicographic order with the domain of
-    commodity i pruned to [1, min(i, d)] (it never pays to run the i-th
-    operation later than step i). Per assignment, each step's operations
-    are routed exactly; branch and bound uses the shortest-path lower
-    bound. Among minimum-flow schedules the lexicographically smallest
-    step vector wins, then the path enumeration order.
+    Completion steps are searched depth first in commodity order, smallest
+    step first. Commodity i ranges over [head(i), d - tail(i)]: head(i) is
+    the lowest step its placed predecessors allow, tail(i) the longest
+    chain of successors that must complete in later steps. Each step's
+    member set is routed exactly as it fills; a step whose set cannot be
+    routed is skipped, since no larger set can be routed either. Branch and
+    bound prunes on the routed cost of every partial step plus the
+    shortest-path distance of each commodity not yet placed. Among
+    minimum-flow schedules the lexicographically smallest step vector wins,
+    then the path enumeration order.
+
+    With ``first_feasible`` the search returns the first complete, routable
+    assignment instead: a feasibility probe whose flow is not minimal.
     """
     if d < 1:
         raise ValueError("horizon must be positive")
@@ -159,38 +175,48 @@ def solve_fixed_horizon(
     for c in commodities:
         if not router.paths[c.index]:
             return None
-    floor = sum(router.dist[c.index] for c in commodities)
+    preds, tail = _precedence(commodities, relations)
+    dist = router.dist
+    floor = sum(dist[c.index] for c in commodities)
 
     best: list = [None]
     tau: dict[int, int] = {}
+    members: dict[int, tuple[int, ...]] = {}  # step -> commodities placed in it
+    cost: dict[int, int] = {}  # step -> routed flow of its members
 
-    def assign(i: int) -> None:
+    def assign(i: int, flow: int, rest: int) -> bool:
+        """Place commodities i..k given the routed ``flow`` of the partial
+        steps and the distance ``rest`` of i..k; True stops the search."""
         stats.nodes += 1
         if i > k:
-            by_step: dict[int, list[int]] = {}
-            for idx, step in tau.items():
-                by_step.setdefault(step, []).append(idx)
-            flow = 0
             routed: dict[int, tuple[str, ...]] = {}
-            for step in sorted(by_step):
-                res = router.route(tuple(sorted(by_step[step])))
-                if res is None:
-                    return
-                flow += res[0]
-                routed.update(res[1])
-            if best[0] is None or flow < best[0].total_flow:
-                best[0] = Solution(d, dict(tau), routed, flow)
-            return
-        for step in range(1, min(i, d) + 1):
+            for step in sorted(members):
+                routed.update(router.route(members[step])[1])
+            best[0] = Solution(d, dict(tau), routed, flow)
+            return first_feasible or flow == floor
+        rest -= dist[i]
+        head = max((tau[j] + gap for j, gap in preds[i]), default=1)
+        for step in range(head, d - tail[i] + 1):
+            before, prior = members.get(step, ()), cost.get(step, 0)
+            res = router.route(before + (i,))
+            if res is None:
+                continue
+            step_flow = flow - prior + res[0]
+            if best[0] is not None and step_flow + rest >= best[0].total_flow:
+                continue
             tau[i] = step
-            if _assignment_ok(tau, relations, i):
-                assign(i + 1)
-                if best[0] is not None and best[0].total_flow == floor:
-                    del tau[i]
-                    return
+            members[step], cost[step] = before + (i,), res[0]
+            done = assign(i + 1, step_flow, rest)
             del tau[i]
+            if before:
+                members[step], cost[step] = before, prior
+            else:
+                del members[step], cost[step]
+            if done:
+                return True
+        return False
 
-    assign(1)
+    assign(1, 0, floor)
     sol = best[0]
     if sol is not None and sol.total_flow < floor:
         raise RuntimeError("flow fell below the shortest-path bound")
@@ -203,28 +229,34 @@ def quickest(
     relations: RelationTable,
     stats: SolverStats | None = None,
 ) -> Solution:
-    """Binary search on the horizon for the smallest feasible one.
+    """Smallest feasible horizon by binary search, then its minimum-flow
+    schedule.
 
-    The serial schedule is always feasible on a connected architecture, so
-    the search runs over [1, k] and needs at most ceil(log2 k) + 1 solver
-    invocations.
+    The serial horizon k is always feasible on a connected architecture and
+    is never probed; no horizon below 1 + the longest chain of precedences
+    that cannot share a step is feasible. Feasibility probes
+    (``first_feasible``) bisect the horizons between the two, and one
+    minimum-total-flow solve runs at the smallest feasible one: at most
+    ceil(log2 k) + 1 solver invocations in all.
     """
     stats = stats if stats is not None else SolverStats()
     k = len(commodities)
     if k == 0:
         return Solution(0, {}, {}, 0)
     router = _Router(q, commodities, stats)
-    lo, hi = 1, k
-    found: Solution | None = None
+    _, tail = _precedence(commodities, relations)
+    lo, hi = 1 + max(tail.values()), k - 1
+    d = k
     while lo <= hi:
         mid = (lo + hi) // 2
         stats.invocations += 1
-        sol = solve_fixed_horizon(q, commodities, relations, mid, stats, router)
-        if sol is not None:
-            found = sol
-            hi = mid - 1
+        probe = solve_fixed_horizon(q, commodities, relations, mid, stats, router, first_feasible=True)
+        if probe is not None:
+            d, hi = mid, mid - 1
         else:
             lo = mid + 1
+    stats.invocations += 1
+    found = solve_fixed_horizon(q, commodities, relations, d, stats, router)
     if found is None:
         raise NoSolutionError("no feasible schedule even at the serial horizon")
     return found

@@ -117,8 +117,10 @@ class TimeExpandedGraph:
     A source connector runs from commodity i's external node into its
     control processor's copy-tau node, a sink connector out of its target
     processor's copy-tau node; both carry unit capacity and exist only for
-    tau <= min(i, d), since the i-th operation never needs to run later
-    than step i.
+    tau <= min(i, d). That pruning is unsound: an optimum can run the i-th
+    operation later than step i (the flow solver's step domain is
+    [head(i), d - tail(i)] instead). Nothing in the pipeline reads this
+    expansion.
     """
 
     d: int
@@ -268,7 +270,8 @@ def time_expand(q: QuotientGraph, endpoints: list[tuple[str, str]], d: int) -> T
     ``endpoints`` lists (control processor, target processor) per
     commodity in enumeration order. Each step contributes a full copy;
     commodity i gains unit-capacity connectors only to copies
-    1..min(i, d).
+    1..min(i, d), a pruning that can cut off every optimum (see
+    ``TimeExpandedGraph``).
     """
     if d < 1:
         raise NetworkError(f"time horizon must be positive, got {d}")

@@ -15,8 +15,9 @@ from dqcc.flow import (
     quickest,
     solve_fixed_horizon,
 )
-from dqcc.network import QuotientGraph
-from conftest import make_relations
+from dqcc.network import QuotientGraph, quotient
+from dqcc.relations import build_relations
+from conftest import commodities_of, make_relations
 
 
 def two_proc(capacity: int) -> QuotientGraph:
@@ -177,7 +178,7 @@ def test_checker_flags_violations():
 
 
 def test_invocation_bound():
-    for k in range(1, 7):
+    for k in range(1, 17):
         coms = chain(k)
         stats = SolverStats()
         quickest(two_proc(1), coms, make_relations(coms), stats)
@@ -197,3 +198,55 @@ def test_determinism():
     a = dump_solution(quickest(two_proc(2), coms, rel))
     b = dump_solution(quickest(two_proc(2), coms, rel))
     assert a == b
+
+
+def test_late_step_restores_optimum():
+    # 1 and 2 contend for P1-P2; 3 may share a step with 1 but not with 2,
+    # so the optimum runs 2 first and 1 later than its position.
+    q = QuotientGraph(("P1", "P2", "P3"), {("P1", "P2"): 1, ("P2", "P3"): 1})
+    coms = [
+        Commodity(1, "P2", "P1", "a", "b", 0),
+        Commodity(2, "P2", "P1", "c", "d", 0),
+        Commodity(3, "P3", "P2", "e", "f", 1),
+    ]
+    rel = make_relations(coms, qp=lambda a, b: (a.index, b.index) == (1, 3))
+    sol = quickest(q, coms, rel)
+    ref = brute_force_oracle(q, coms, rel)
+    assert sol.steps == ref.steps == {1: 2, 2: 1, 3: 2}
+    assert (e_depth(sol), sol.total_flow) == (e_depth(ref), ref.total_flow) == (2, 3)
+    assert check_solution(q, coms, rel, sol) == []
+
+
+def ring_network(p: int) -> str:
+    """p processors in a ring, two computation qubits and one link per hop."""
+    lines = [f"processor P{i} {{ comp q{i}_0 q{i}_1 comm l{i} r{i} }}" for i in range(p)]
+    lines += [f"local q{i}_{j} {c}{i}" for i in range(p) for j in (0, 1) for c in "lr"]
+    lines += [f"elink r{i} l{(i + 1) % p}" for i in range(p)]
+    return "\n".join(lines) + "\n"
+
+
+def test_late_step_on_ring_instance():
+    circuit = """\
+qubits q0_0 q0_1 q1_0 q1_1 q2_0 q2_1 q3_0 q3_1
+cx q2_0 q2_1
+t q0_0
+cx q1_1 q1_0
+cx q1_1 q3_0
+cx q3_1 q3_0
+h q1_1
+cx q1_1 q3_1
+cx q0_0 q2_1
+h q0_0
+t q1_1
+t q0_0
+h q1_1
+cx q1_1 q1_0
+t q1_1
+"""
+    circ, net, coms = commodities_of(circuit, ring_network(4))
+    q = quotient(net)
+    rel = build_relations(coms, circ, budget=4)
+    sol = quickest(q, coms, rel)
+    ref = brute_force_oracle(q, coms, rel)
+    assert (e_depth(sol), sol.total_flow) == (e_depth(ref), ref.total_flow) == (2, 6)
+    assert check_solution(q, coms, rel, sol) == []
