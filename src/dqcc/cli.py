@@ -61,7 +61,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--circuit", required=True)
     ver.add_argument("--physical", required=True)
     ver.add_argument("--seed", type=int, default=7)
-    ver.add_argument("--tol", type=float, default=1e-9)
+    ver.add_argument(
+        "--tol",
+        type=float,
+        default=1e-9,
+        help="largest squared Hilbert-Schmidt distance between the two output "
+        "ensembles that still passes (default 1e-9)",
+    )
 
     orc = sub.add_parser("oracle", help="run the brute-force reference solver")
     common(orc)
@@ -139,6 +145,7 @@ def _cmd_compile(args) -> int:
         report += [
             f"verify_end_to_end={'PASS' if rep.equal else 'FAIL'}",
             f"verify_mode={rep.mode}",
+            f"verify_peak_branches={rep.peak_branches}",
             f"verify_max_dev={rep.max_deviation:.3e}",
             f"verify_seed={args.seed}",
         ]

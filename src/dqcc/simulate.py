@@ -11,6 +11,10 @@ from .rewrite import EGate, ExtendedCircuit, lift
 
 QUBIT_BUDGET = 14
 PRUNE_TOL = 1e-12
+# Branches whose states overlap to within this are one state up to global
+# phase. Merging such a pair moves the ensemble by about 4 * MERGE_TOL * p**2
+# in squared Hilbert-Schmidt distance, far below the default ``tol``.
+MERGE_TOL = 1e-12
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
@@ -24,7 +28,8 @@ class SimulationError(RuntimeError):
 @dataclass
 class StateBranch:
     """One measurement branch: a normalized state over the live qubits, the
-    bits recorded so far, and the branch probability."""
+    recorded bits that a later gate still reads, and the branch
+    probability."""
 
     qubits: tuple[str, ...]
     state: np.ndarray  # tensor of shape (2,) * len(qubits)
@@ -66,7 +71,20 @@ def run(
     declaration order (default |0...0>). Entangling gates bring fresh
     communication qubits in as a Bell pair; measurements project, record
     the bit and drop the qubit. Zero-probability branches are pruned.
+
+    A branch's ``bits`` hold only the live bits: a bit is dropped after the
+    last gate that reads it (at once if no gate does), and branches that
+    then agree on their live bits and on their state up to global phase
+    are merged, their probabilities added. The output ensemble
+    sum_i p_i |psi_i><psi_i| is unchanged; branch order carries no meaning.
     """
+    return _run(circuit, input_state)[0]
+
+
+def _run(
+    circuit: ExtendedCircuit, input_state: np.ndarray | None
+) -> tuple[list[StateBranch], int]:
+    """``run`` plus the largest branch list it held."""
     comp = circuit.comp_qubits
     n = len(comp)
     if input_state is None:
@@ -81,17 +99,52 @@ def run(
         StateBranch(tuple(comp), vec.reshape((2,) * n), {}, 1.0)
     ]
 
-    for gate in circuit.gates:
+    dying = _dying_bits(circuit.gates)
+    peak = 1
+    for gate, dead in zip(circuit.gates, dying):
         branches = [b for br in branches for b in _apply(br, gate)]
+        peak = max(peak, len(branches))
+        if dead:
+            branches = _merge(branches, dead)
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > 1e-9:
         raise SimulationError(f"branch probabilities sum to {total}")
-    branches.sort(key=_branch_key)
-    return branches
+    return branches, peak
 
 
-def _branch_key(b: StateBranch):
-    return tuple(sorted(b.bits.items()))
+def _dying_bits(gates: tuple[EGate, ...]) -> list[set[str]]:
+    """For each gate, the bits no later gate reads: those it read last, and
+    the bit it measures when nothing reads that bit afterwards."""
+    last_read: dict[str, int] = {}
+    for i, g in enumerate(gates):
+        for bit in g.expr:
+            last_read[bit] = i
+    dying: list[set[str]] = [set() for _ in gates]
+    for bit, i in last_read.items():
+        dying[i].add(bit)
+    for i, g in enumerate(gates):
+        if g.kind == "m" and last_read.get(g.bit, -1) < i:  # type: ignore[arg-type]
+            dying[i].add(g.bit)  # type: ignore[arg-type]
+    return dying
+
+
+def _merge(branches: list[StateBranch], dead: set[str]) -> list[StateBranch]:
+    """Drop the dead bits, then merge branches with the same qubits, the
+    same live bits and states equal up to global phase."""
+    groups: dict[tuple, list[StateBranch]] = {}
+    out: list[StateBranch] = []
+    for br in branches:
+        bits = {k: v for k, v in br.bits.items() if k not in dead}
+        group = groups.setdefault((br.qubits, tuple(sorted(bits.items()))), [])
+        for kept in group:
+            if abs(np.vdot(kept.state, br.state)) >= 1.0 - MERGE_TOL:
+                kept.probability += br.probability
+                break
+        else:
+            merged = StateBranch(br.qubits, br.state, bits, br.probability)
+            group.append(merged)
+            out.append(merged)
+    return out
 
 
 def _apply(branch: StateBranch, gate: EGate) -> list[StateBranch]:
@@ -166,65 +219,39 @@ def _unary(branch: StateBranch, qubit: str, mat: np.ndarray) -> StateBranch:
 @dataclass
 class EquivalenceReport:
     equal: bool
-    max_deviation: float
+    max_deviation: float  # squared Hilbert-Schmidt distance, worst input
     mode: str  # "process" or "sampled"
+    peak_branches: int  # largest branch list any ``run`` of the check held
 
 
-def _canonical(vec: np.ndarray) -> np.ndarray:
-    """Strip global phase: rotate the largest-magnitude amplitude to the
-    positive real axis."""
-    idx = int(np.argmax(np.abs(vec)))
-    a = vec[idx]
-    if abs(a) < 1e-300:
-        return vec
-    return vec * (a.conjugate() / abs(a))
-
-
-def _match_branches(
-    left: list[StateBranch], right: list[StateBranch], order: tuple[str, ...], tol: float
+def _hs_distance(
+    left: list[StateBranch], right: list[StateBranch], order: tuple[str, ...]
 ) -> float:
-    """Greatest deviation under the best pairing of output branches.
+    """Squared Hilbert-Schmidt distance ||rho_L - rho_R||_F^2 between the
+    output ensembles rho = sum_i p_i |psi_i><psi_i| over ``order``.
 
     Measurement bits need not agree across the two circuits (rewrites
-    re-label outcomes), so branches are matched as weighted states.
+    re-label outcomes), so only the ensembles are compared. Each trace
+    Tr(rho_A rho_B) = sum_ij p_i q_j |<a_i|b_j>|^2 comes from a
+    probability-weighted Gram matrix of branch vectors; rho is never
+    formed. The squared form keeps rounding at the 1e-16 scale, where the
+    norm itself would lift it to about 1e-8.
     """
-    lv = sorted(
-        ((b.probability, _canonical(b.vector(order))) for b in left),
-        key=lambda pv: (round(pv[0], 9), tuple(np.round(pv[1], 6).view(float))),
-    )
-    rv = sorted(
-        ((b.probability, _canonical(b.vector(order))) for b in right),
-        key=lambda pv: (round(pv[0], 9), tuple(np.round(pv[1], 6).view(float))),
-    )
-    if len(lv) != len(rv):
-        # Branch counts may legitimately differ (pruning); fall back to
-        # checking every branch of each side against the other's mixture.
-        return _match_unbalanced(lv, rv, tol)
-    worst = 0.0
-    used = [False] * len(rv)
-    for pl, sl in lv:
-        best = None
-        best_dev = np.inf
-        for j, (pr, sr) in enumerate(rv):
-            if used[j]:
-                continue
-            dev = max(1.0 - abs(np.vdot(sl, sr)), abs(pl - pr))
-            if dev < best_dev:
-                best, best_dev = j, dev
-        used[best] = True  # type: ignore[index]
-        worst = max(worst, float(best_dev))
-    return worst
 
+    lv = np.array([b.vector(order) for b in left])
+    rv = np.array([b.vector(order) for b in right])
+    lp = np.array([b.probability for b in left])
+    rp = np.array([b.probability for b in right])
 
-def _match_unbalanced(lv, rv, tol: float) -> float:
-    worst = 0.0
-    for pl, sl in lv:
-        dev = min(1.0 - abs(np.vdot(sl, sr)) for _, sr in rv)
-        worst = max(worst, float(dev))
-    for pr, sr in rv:
-        dev = min(1.0 - abs(np.vdot(sl, sr)) for _, sl in lv)
-        worst = max(worst, float(dev))
-    return worst
+    def trace_product(av, ap, bv, bp) -> float:
+        return float(ap @ (np.abs(av.conj() @ bv.T) ** 2) @ bp)
+
+    dist = (
+        trace_product(lv, lp, lv, lp)
+        + trace_product(rv, rp, rv, rp)
+        - 2 * trace_product(lv, lp, rv, rp)
+    )
+    return max(dist, 0.0)
 
 
 def _peak_live(circuit: ExtendedCircuit, base: int) -> int:
@@ -273,16 +300,16 @@ def _equivalence(
     peak = max(_peak_live(left, entangled + len(comp)), _peak_live(right, entangled + len(comp)))
     if peak <= QUBIT_BUDGET:
         state = _entangled_input(entangled, extras)
-        lb = _run_with_refs(left, refs, state)
-        rb = _run_with_refs(right, refs, state)
-        order = refs + out_left
-        dev = _match_branches(lb, rb, order, tol)
-        return EquivalenceReport(dev <= tol, dev, "process")
+        lb, lpeak = _run_with_refs(left, refs, state)
+        rb, rpeak = _run_with_refs(right, refs, state)
+        dev = _hs_distance(lb, rb, refs + out_left)
+        return EquivalenceReport(dev <= tol, dev, "process", max(lpeak, rpeak))
     # Sampled fallback: all basis states of the entangled register plus
     # seeded pseudo-random states, extras pinned to |0>.
     rng = np.random.default_rng(seed)
     dim = 2**entangled
     worst = 0.0
+    most = 0
     inputs = [np.eye(dim, dtype=complex)[i] for i in range(dim)]
     for _ in range(8):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -291,10 +318,11 @@ def _equivalence(
     zero[0] = 1.0
     for vec in inputs:
         full = np.kron(vec, zero) if extras else vec
-        lb = run(left, full)
-        rb = run(right, full)
-        worst = max(worst, _match_branches(lb, rb, out_left, tol))
-    return EquivalenceReport(worst <= tol, worst, "sampled")
+        lb, lpeak = _run(left, full)
+        rb, rpeak = _run(right, full)
+        worst = max(worst, _hs_distance(lb, rb, out_left))
+        most = max(most, lpeak, rpeak)
+    return EquivalenceReport(worst <= tol, worst, "sampled", most)
 
 
 def equivalent_fragments(
@@ -323,9 +351,9 @@ def _surviving(circuit: ExtendedCircuit) -> tuple[str, ...]:
 
 def _run_with_refs(
     circuit: ExtendedCircuit, refs: tuple[str, ...], state: np.ndarray | None
-) -> list[StateBranch]:
+) -> tuple[list[StateBranch], int]:
     widened = ExtendedCircuit(refs + circuit.comp_qubits, circuit.gates)
-    return run(widened, state.reshape(-1) if state is not None else None)
+    return _run(widened, state.reshape(-1) if state is not None else None)
 
 
 def equivalent(
@@ -340,7 +368,8 @@ def equivalent(
 
     Auxiliary wires the expansion borrowed (swap-chain intermediates) are
     simulated in |0> on both sides; only the program qubits carry the
-    entangled reference register.
+    entangled reference register. The circuits are equal when the squared
+    Hilbert-Schmidt distance of their output ensembles is at most ``tol``.
     """
     program = tuple(logical.qubits)
     created = {q for g in physical.gates if g.kind == "e" for q in g.qubits}

@@ -62,6 +62,23 @@ def test_compile_verify_pass(files, capsys):
     assert "check end_to_end: PASS" in out
 
 
+def test_verify_merges_branches_of_a_long_telegate_chain(tmp_path, capsys):
+    # Eight remote cx over a single link: 16 measurements, which would be
+    # 65,536 branches without merging the ones whose bits are dead.
+    circ = tmp_path / "c.circ"
+    net = tmp_path / "n.net"
+    circ.write_text("qubits hub q1\n" + "cx hub q1\ncx q1 hub\n" * 4)
+    net.write_text(hub_network(1, 1))
+    code, out = run_cli(
+        ["compile", "--circuit", circ, "--network", net, "--verify", "--emit-physical"], capsys
+    )
+    assert code == 0
+    assert "k=8" in out and out.count("\nm ") == 16
+    report = dict(line.split("=", 1) for line in out.splitlines() if line.startswith("verify_"))
+    assert report["verify_end_to_end"] == "PASS" and report["verify_mode"] == "process"
+    assert int(report["verify_peak_branches"]) <= 16
+
+
 def test_compile_parse_error_exit_2(files, capsys):
     circ, net, tmp = files
     bad = tmp / "bad.circ"

@@ -5,6 +5,8 @@ from dqcc.circuit import parse_circuit
 from dqcc.rewrite import ExtendedCircuit, cx, e, h, m, px, pz, t
 from dqcc.simulate import (
     SimulationError,
+    StateBranch,
+    _hs_distance,
     equivalent,
     equivalent_fragments,
     run,
@@ -45,10 +47,10 @@ def test_telegate_on_10_gives_11_in_all_branches():
     inp = np.zeros(4, dtype=complex)
     inp[2] = 1.0  # |10>
     branches = run(circ, inp)
-    assert len(branches) == 4
-    for b in branches:
-        vec = b.vector(("qa", "qb"))
-        assert abs(vec[3]) > 1 - 1e-12
+    # The corrections make the four outcomes one state, so they merge.
+    assert len(branches) == 1
+    assert abs(branches[0].probability - 1.0) < 1e-12
+    assert abs(branches[0].vector(("qa", "qb"))[3]) > 1 - 1e-12
 
 
 def test_branch_probabilities_sum_to_one():
@@ -80,10 +82,13 @@ def test_measurement_free_circuit_single_branch():
 
 
 def test_deterministic_measurement_prunes_branches():
-    # h then h restores |0>, so the measurement has one surviving branch
-    circ = ExtendedCircuit(("q",), (h("q"), h("q"), m("q", "b")))
+    # h then h restores |0>, so the measurement has one surviving branch;
+    # the bit is dropped after px reads it, and r left in |0> shows b = 0.
+    circ = ExtendedCircuit(("q", "r"), (h("q"), h("q"), m("q", "b"), px("r", F({"b"}))))
     branches = run(circ)
-    assert len(branches) == 1 and branches[0].bits == {"b": 0}
+    assert len(branches) == 1 and branches[0].bits == {}
+    assert abs(branches[0].probability - 1.0) < 1e-12
+    assert abs(branches[0].vector(("r",))[0]) > 1 - 1e-12
 
 
 def test_gate_on_consumed_qubit_rejected():
@@ -123,6 +128,22 @@ def test_equivalent_detects_wrong_correction():
     bad[-1] = px("qa", F({"b1"}))  # correction on the wrong qubit
     rep = equivalent(ExtendedCircuit(("qa", "qb"), tuple(bad)), logical)
     assert not rep.equal
+
+
+def test_ensemble_distance_weighs_probabilities():
+    # Every state of one side appears on the other, but with other weights:
+    # rho_L = diag(.5, .5) against rho_R = diag(.9, .1).
+    zero, one = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
+    left = [StateBranch(("q",), zero, {}, 0.5), StateBranch(("q",), one, {}, 0.5)]
+    right = [
+        StateBranch(("q",), zero, {"a": 0}, 0.9),
+        StateBranch(("q",), one, {"a": 1}, 0.05),
+        StateBranch(("q",), 1j * one, {"a": 1}, 0.05),
+    ]
+    assert abs(_hs_distance(left, right, ("q",)) - 0.32) < 1e-12
+    # Labels, order and global phase do not count.
+    same = [StateBranch(("q",), -one, {"b": 1}, 0.5), StateBranch(("q",), 1j * zero, {}, 0.5)]
+    assert _hs_distance(left, same, ("q",)) < 1e-15
 
 
 def test_swap_fragment_equals_bare_entanglement():
