@@ -50,19 +50,33 @@ from .rewrite import (
     PauliTerm,
     forward_measurement_bit,
     lifetime,
+    lifetimes,
     merge_cost,
     push_backward,
     push_forward,
     quasi_parallel,
     rewrite_step,
 )
-from .simulate import (
-    EquivalenceReport,
-    SimulationError,
-    StateBranch,
-    equivalent,
-    equivalent_fragments,
-    run,
-)
 
 __version__ = "0.1.0"
+
+# The verifier's names load numpy, which only --verify needs: import
+# ``simulate`` on first use of one of them (PEP 562), not with the package.
+_SIMULATE_NAMES = frozenset(
+    {
+        "EquivalenceReport",
+        "SimulationError",
+        "StateBranch",
+        "equivalent",
+        "equivalent_fragments",
+        "run",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

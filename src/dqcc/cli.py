@@ -22,7 +22,6 @@ from .flow import (
 )
 from .network import NetworkError, parse_network, quotient
 from .relations import build_relations
-from .simulate import SimulationError, equivalent
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -137,6 +136,8 @@ def _cmd_compile(args) -> int:
     verdict_lines: list[str] = []
     code = EXIT_OK
     if args.verify:
+        from .simulate import SimulationError, equivalent
+
         try:
             rep = equivalent(schedule.flat(), circuit, seed=args.seed)
         except SimulationError as exc:
@@ -177,6 +178,8 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .simulate import SimulationError, equivalent
+
     try:
         logical = parse_circuit(Path(args.circuit).read_text())
         physical = parse_physical(Path(args.physical).read_text())

@@ -394,11 +394,18 @@ def check_solution(
                 problems.append(f"commodity {i} uses missing edge {a}-{b}")
             f[((a, b), i, tau)] = f.get(((a, b), i, tau), 0) + 1
 
-    def inflow(node: str, i: int, tau: int) -> int:
-        return sum(v for ((a, b), ii, tt), v in f.items() if b == node and ii == i and tt == tau)
+    # Sum in-flows, out-flows and per-(edge, step) loads in one pass.
+    inflow: dict[tuple[str, int, int], int] = {}
+    outflow: dict[tuple[str, int, int], int] = {}
+    load: dict[tuple[tuple[str, str], int], int] = {}
+    for ((a, b), i, tau), v in f.items():
+        inflow[(b, i, tau)] = inflow.get((b, i, tau), 0) + v
+        outflow[(a, i, tau)] = outflow.get((a, i, tau), 0) + v
+        key = (edge_key(a, b), tau)
+        load[key] = load.get(key, 0) + v
 
-    def outflow(node: str, i: int, tau: int) -> int:
-        return sum(v for ((a, b), ii, tt), v in f.items() if a == node and ii == i and tt == tau)
+    def net(node: str, i: int, tau: int) -> int:
+        return inflow.get((node, i, tau), 0) - outflow.get((node, i, tau), 0)
 
     for c in commodities:
         i = c.index
@@ -406,10 +413,10 @@ def check_solution(
             for node in q.nodes:
                 if node in (c.control_proc, c.target_proc):
                     continue
-                if inflow(node, i, tau) != outflow(node, i, tau):
+                if net(node, i, tau) != 0:
                     problems.append(f"conservation violated at {node} for {i} at step {tau}")
-        net_c = sum(inflow(c.control_proc, i, t) - outflow(c.control_proc, i, t) for t in range(1, d + 1))
-        net_t = sum(inflow(c.target_proc, i, t) - outflow(c.target_proc, i, t) for t in range(1, d + 1))
+        net_c = sum(net(c.control_proc, i, t) for t in range(1, d + 1))
+        net_t = sum(net(c.target_proc, i, t) for t in range(1, d + 1))
         if net_c != 1:
             problems.append(f"demand at control processor of {i} is {net_c}, want +1")
         if net_t != -1:
@@ -417,11 +424,7 @@ def check_solution(
 
     for edge, cap in q.capacity.items():
         for tau in range(1, d + 1):
-            used = sum(
-                v
-                for ((a, b), _, tt), v in f.items()
-                if tt == tau and edge_key(a, b) == edge
-            )
+            used = load.get((edge, tau), 0)
             if used > cap:
                 problems.append(f"capacity exceeded on {edge} at step {tau}: {used} > {cap}")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circuit import Commodity, LogicalCircuit
-from .rewrite import MergePlan, PredicateStats, quasi_parallel
+from .rewrite import MergeCosts, MergePlan, PredicateStats
 
 
 @dataclass
@@ -58,9 +58,12 @@ def build_relations(
 
     Precedence follows layer order. With quasi-parallelism enabled, sharing
     is decided by the rewrite predicate under the coherence budget;
-    disabled, only same-layer pairs share (full parallelism only).
+    disabled, only same-layer pairs share (full parallelism only). One
+    ``MergeCosts`` table serves the whole build, so each pair's merge cost
+    is evaluated at most once and composite pairs reuse their sub-pairs'.
     """
     table = RelationTable(k=len(commodities))
+    costs = MergeCosts(circuit, commodities, stats) if enable_qp else None
     for a in range(len(commodities)):
         for b in range(a + 1, len(commodities)):
             ci, cj = commodities[a], commodities[b]
@@ -69,10 +72,10 @@ def build_relations(
             if ci.layer == cj.layer:
                 table.shares_step[key] = True
                 continue
-            if not enable_qp:
+            if costs is None:
                 table.shares_step[key] = False
                 continue
-            ok, plan = quasi_parallel(ci, cj, budget, circuit, commodities, stats)
+            ok, plan = costs.shares(ci, cj, budget)
             table.shares_step[key] = ok
             if plan is not None:
                 table.plans[key] = plan

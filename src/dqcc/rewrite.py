@@ -121,19 +121,29 @@ def asap_layers(gates: tuple[EGate, ...] | list[EGate]) -> list[int]:
     return out
 
 
+def lifetimes(gates: list[EGate] | tuple[EGate, ...]) -> dict[str, int]:
+    """Lifetime of every qubit with an entangling gate and a measurement in
+    the fragment: the layers strictly between the two under one ASAP
+    layering. The last e and the last m on a qubit count."""
+    at_e: dict[str, int] = {}
+    at_m: dict[str, int] = {}
+    for g, lay in zip(gates, asap_layers(gates)):
+        if g.kind == "e":
+            for q in g.qubits:
+                at_e[q] = lay
+        elif g.kind == "m":
+            at_m[g.qubits[0]] = lay
+    return {q: at_m[q] - at - 1 for q, at in at_e.items() if q in at_m}
+
+
 def lifetime(gates: list[EGate] | tuple[EGate, ...], qubit: str) -> int:
     """Layers strictly between the qubit's entangling gate and its
-    measurement, under ASAP layering of the fragment."""
-    layer = asap_layers(list(gates))
-    at_e = at_m = None
-    for g, lay in zip(gates, layer):
-        if g.kind == "e" and qubit in g.qubits:
-            at_e = lay
-        elif g.kind == "m" and g.qubits[0] == qubit:
-            at_m = lay
-    if at_e is None or at_m is None:
-        raise ValueError(f"qubit {qubit!r} lacks an e/m pair in the fragment")
-    return at_m - at_e - 1
+    measurement, under ASAP layering of the fragment; ``lifetimes`` gives
+    every qubit's from the same single pass."""
+    try:
+        return lifetimes(gates)[qubit]
+    except KeyError:
+        raise ValueError(f"qubit {qubit!r} lacks an e/m pair in the fragment") from None
 
 
 @dataclass(frozen=True)
@@ -434,7 +444,8 @@ def bare_telegate(com: Commodity) -> list[EGate]:
 
 def baseline_lifetimes(fragment: list[EGate]) -> dict[str, int]:
     """Lifetime of each communication qubit in a fragment run on its own."""
-    return {q: lifetime(fragment, q) for q in sorted(_comm_qubits(fragment))}
+    alone = lifetimes(fragment)
+    return {q: alone[q] for q in sorted(_comm_qubits(fragment))}
 
 
 @dataclass(frozen=True)
@@ -458,7 +469,11 @@ class MergePlan:
 
 @dataclass
 class PredicateStats:
-    """Counters backing the polynomial-cost assertions."""
+    """Counters backing the polynomial-cost assertions.
+
+    ``recursive_calls`` counts pair evaluations: a pair whose cost is read
+    back from a ``MergeCosts`` table is not counted again.
+    """
 
     rule_applications: int = 0
     recursive_calls: int = 0
@@ -506,6 +521,85 @@ def cone_independent(ci: Commodity, cj: Commodity, circuit: LogicalCircuit) -> b
     return not (cone & set(cj.operands))
 
 
+class MergeCosts:
+    """Merge costs of one circuit's commodity pairs, each pair evaluated at
+    most once.
+
+    Results are kept by ``(ci.index, cj.index)``, and a composite pair reads
+    its two sub-pairs from the same table, so one relation build evaluates
+    each pair once however many longer pairs span it. The remote-gate set
+    and each commodity's bare-telegate lifetimes are computed once per table.
+    """
+
+    def __init__(
+        self,
+        circuit: LogicalCircuit,
+        commodities: list[Commodity],
+        stats: PredicateStats | None = None,
+    ) -> None:
+        self.circuit = circuit
+        self.commodities = commodities
+        self.stats = stats if stats is not None else PredicateStats()
+        self._remote = _remote_gate_ids(circuit, commodities)
+        self._baselines: dict[int, dict[str, int]] = {}
+        self._costs: dict[tuple[int, int], tuple[int | None, MergePlan | None]] = {}
+
+    def cost(self, ci: Commodity, cj: Commodity) -> tuple[int | None, MergePlan | None]:
+        """``merge_cost`` of the pair, evaluated on first request only."""
+        key = (ci.index, cj.index)
+        if key not in self._costs:
+            self._costs[key] = self._evaluate(ci, cj)
+        return self._costs[key]
+
+    def shares(self, ci: Commodity, cj: Commodity, budget: int) -> tuple[bool, MergePlan | None]:
+        """``quasi_parallel`` of the pair under the budget."""
+        cost, plan = self.cost(ci, cj)
+        if cost is None or cost > budget:
+            return False, None
+        return True, plan
+
+    def _baseline(self, com: Commodity) -> dict[str, int]:
+        if com.index not in self._baselines:
+            self._baselines[com.index] = baseline_lifetimes(bare_telegate(com))
+        return self._baselines[com.index]
+
+    def _evaluate(self, ci: Commodity, cj: Commodity) -> tuple[int | None, MergePlan | None]:
+        self.stats.recursive_calls += 1
+        if ci.layer == cj.layer or cone_independent(ci, cj, self.circuit):
+            return 0, None
+        between = [c for c in self.commodities if ci.layer < c.layer < cj.layer]
+        if between:
+            pivot = between[len(between) // 2]
+            left, _ = self.cost(ci, pivot)
+            if left is None:
+                return None, None
+            right, _ = self.cost(pivot, cj)
+            if right is None:
+                return None, None
+            return left + right, None
+
+        seq = _pair_fragment(ci, cj, self.circuit, self._remote)
+        counter = [0]
+        outcome = rewrite_step(seq, counter)
+        self.stats.rule_applications += counter[0]
+        if outcome is None:
+            return None, None
+        merged = lifetimes(outcome.in_step)
+        worst = 0
+        for com in (ci, cj):
+            for q, ref in self._baseline(com).items():
+                worst = max(worst, merged[q] - ref)
+        plan = MergePlan(
+            first=ci.index,
+            second=cj.index,
+            sequential=tuple(seq),
+            in_step=tuple(outcome.in_step),
+            corrections=tuple(outcome.corrections),
+            cost=worst,
+        )
+        return worst, plan
+
+
 def merge_cost(
     ci: Commodity,
     cj: Commodity,
@@ -519,44 +613,12 @@ def merge_cost(
     Same-layer and provably independent pairs cost nothing. A pair with
     remote operations in between recurses through the middle one, and the
     two sides' costs add: a budget split serving both exists exactly when
-    the sum fits (budget monotonicity makes integer splits exact).
+    the sum fits (budget monotonicity makes integer splits exact). Each
+    call evaluates in a fresh ``MergeCosts`` table, so every sub-pair of
+    the recursion is evaluated once; a relation build shares one table
+    across all its pairs instead.
     """
-    stats = stats if stats is not None else PredicateStats()
-    stats.recursive_calls += 1
-    if ci.layer == cj.layer:
-        return 0, None
-    if cone_independent(ci, cj, circuit):
-        return 0, None
-    between = [c for c in commodities if ci.layer < c.layer < cj.layer]
-    if between:
-        pivot = between[len(between) // 2]
-        left, _ = merge_cost(ci, pivot, circuit, commodities, stats)
-        if left is None:
-            return None, None
-        right, _ = merge_cost(pivot, cj, circuit, commodities, stats)
-        if right is None:
-            return None, None
-        return left + right, None
-
-    seq = _pair_fragment(ci, cj, circuit, _remote_gate_ids(circuit, commodities))
-    counter = [0]
-    outcome = rewrite_step(seq, counter)
-    stats.rule_applications += counter[0]
-    if outcome is None:
-        return None, None
-    base = baseline_lifetimes(bare_telegate(ci)) | baseline_lifetimes(bare_telegate(cj))
-    worst = 0
-    for q, ref in base.items():
-        worst = max(worst, lifetime(outcome.in_step, q) - ref)
-    plan = MergePlan(
-        first=ci.index,
-        second=cj.index,
-        sequential=tuple(seq),
-        in_step=tuple(outcome.in_step),
-        corrections=tuple(outcome.corrections),
-        cost=worst,
-    )
-    return worst, plan
+    return MergeCosts(circuit, commodities, stats).cost(ci, cj)
 
 
 def quasi_parallel(
@@ -569,7 +631,4 @@ def quasi_parallel(
 ) -> tuple[bool, MergePlan | None]:
     """Decide whether two remote operations may run in the same time step
     under the given coherence budget (layer units)."""
-    cost, plan = merge_cost(ci, cj, circuit, commodities, stats)
-    if cost is None or cost > budget:
-        return False, None
-    return True, plan
+    return MergeCosts(circuit, commodities, stats).shares(ci, cj, budget)

@@ -167,3 +167,26 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "compile" in proc.stdout and "oracle" in proc.stdout
+
+
+def test_numpy_loads_only_for_verification(files):
+    circ, net, tmp = files
+    probe = (
+        "import sys, dqcc; assert 'numpy' not in sys.modules; "
+        "from dqcc import equivalent, StateBranch; assert 'numpy' in sys.modules"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # -X importtime names every module the process imports on stderr.
+    proc = subprocess.run(
+        [
+            sys.executable, "-X", "importtime", "-m", "dqcc.cli", "compile",
+            "--circuit", str(circ), "--network", str(net), "--emit-physical",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "e_depth=" in proc.stdout
+    assert "dqcc.relations" in proc.stderr
+    assert "numpy" not in proc.stderr

@@ -161,20 +161,34 @@ def test_checker_flags_violations():
     good = quickest(two_proc(2), coms, rel)
     # break precedence
     bad = Solution(good.d, {1: 2, 2: 1}, dict(good.paths), good.total_flow)
-    assert any("predecessor" in p for p in check_solution(two_proc(2), coms, rel, bad))
+    assert check_solution(two_proc(2), coms, rel, bad) == [
+        "2 does not strictly follow its predecessor 1"
+    ]
     # break capacity
     coms2 = same_layer(2)
     rel2 = make_relations(coms2)
     squeezed = Solution(1, {1: 1, 2: 1}, {1: ("P2", "P1"), 2: ("P2", "P1")}, 2)
-    assert any("capacity" in p for p in check_solution(two_proc(1), coms2, rel2, squeezed))
+    assert check_solution(two_proc(1), coms2, rel2, squeezed) == [
+        "capacity exceeded on ('P1', 'P2') at step 1: 2 > 1"
+    ]
     # wrong endpoints
     flipped = Solution(good.d, dict(good.steps), {i: p[::-1] for i, p in good.paths.items()}, good.total_flow)
-    assert any("endpoints" in p for p in check_solution(two_proc(2), coms, rel, flipped))
+    assert check_solution(two_proc(2), coms, rel, flipped) == [
+        "commodity 1 path endpoints P1..P2 wrong",
+        "commodity 2 path endpoints P1..P2 wrong",
+        "demand at control processor of 1 is -1, want +1",
+        "demand at target processor of 1 is 1, want -1",
+        "demand at control processor of 2 is -1, want +1",
+        "demand at target processor of 2 is 1, want -1",
+    ]
     # cycle
     coms3 = [Commodity(1, "P1", "P3", "x", "y", 0)]
     rel3 = make_relations(coms3)
     loopy = Solution(1, {1: 1}, {1: ("P3", "P2", "P3", "P2", "P1")}, 4)
-    assert any("revisits" in p for p in check_solution(line3(), coms3, rel3, loopy))
+    assert check_solution(line3(), coms3, rel3, loopy) == [
+        "commodity 1 path revisits a processor",
+        "capacity exceeded on ('P2', 'P3') at step 1: 3 > 1",
+    ]
 
 
 def test_invocation_bound():

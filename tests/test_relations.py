@@ -4,6 +4,7 @@ from dqcc.circuit import extract_commodities, layerize, parse_circuit
 from dqcc.flow import e_depth, quickest
 from dqcc.network import quotient
 from dqcc.relations import build_relations
+from dqcc.rewrite import PredicateStats
 from conftest import commodities_of, hub_chain, hub_network
 
 
@@ -83,3 +84,14 @@ def test_disabling_qp_never_lowers_depth():
         d_on = e_depth(quickest(q, coms, on))
         d_off = e_depth(quickest(q, coms, off))
         assert d_on <= d_off
+
+
+def test_each_pair_evaluated_at_most_once_per_build():
+    # The pivot recursion of a long pair must read the shorter pairs' costs
+    # from the build's table, not evaluate them again.
+    for k in (6, 10, 16, 24):
+        circ, _, coms = commodities_of(hub_chain(k), hub_network(k, 1))
+        stats = PredicateStats()
+        table = build_relations(coms, circ, budget=4, stats=stats)
+        assert stats.recursive_calls <= k * (k - 1) // 2
+        assert len(table.plans) == k - 1  # the adjacent pairs

@@ -11,6 +11,7 @@ from dqcc.rewrite import (
     forward_measurement_bit,
     h,
     lifetime,
+    lifetimes,
     m,
     merge_cost,
     push_backward,
@@ -115,6 +116,16 @@ def test_lifetime_e_then_m_is_zero():
 def test_lifetime_requires_pair():
     with pytest.raises(ValueError):
         lifetime([e("a", "b"), m("a", "x")], "b" + "?")
+
+
+def test_lifetimes_takes_every_paired_qubit_from_one_layering():
+    circ, coms = conflict_pair()
+    _, plan = merge_cost(coms[0], coms[1], circ, coms)
+    frag = list(plan.in_step) + [e("u", "v"), m("u", "x")]  # v is never measured
+    every = lifetimes(frag)
+    assert set(every) == {"_c1a", "_c1b", "_c2a", "_c2b", "u"}
+    assert every == {q: lifetime(frag, q) for q in every}
+    assert lifetimes(bare_telegate(coms[0])) == {"_c1a": 1, "_c1b": 2}
 
 
 def test_merged_conflict_pair_max_lifetime_two():
