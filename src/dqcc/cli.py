@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -29,7 +30,11 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the
+    process: ``parse_args`` returns a fresh namespace on every call and no
+    default is mutable, so one parser serves every ``main`` call."""
     top = argparse.ArgumentParser(prog="dqcc", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 

@@ -296,24 +296,28 @@ def emit_schedule(
     # some co-scheduled telegate depends on it, otherwise the prefix of the
     # step after its last remote predecessor completes (its corrections
     # have landed by then), or the trailing block.
+    last_step: dict[int, int] = {}  # layer -> latest step of its commodities
+    for c in commodities:
+        last_step[c.layer] = max(last_step.get(c.layer, 0), solution.steps[c.index])
     absorbed: dict[tuple[int, int], int] = {}
     prefix: dict[int, list[Gate]] = {}
     trailing_locals: list[Gate] = []
+    ordered_spans = sorted(spans.items())
+    latest = 0  # latest step of any commodity in an earlier layer
     for lay, layer in enumerate(circuit.layers):
+        dest = latest + 1
+        latest = max(latest, last_step.get(lay, 0))
         for gi, gate in enumerate(layer):
             if (lay, gi) in remote_positions:
                 continue
             home = None
-            for step in sorted(spans):
-                lo, hi = spans[step]
+            for step, (lo, hi) in ordered_spans:
                 if lo <= lay <= hi and (lay, gi) in required[step]:
                     home = step
                     break
             if home is not None:
                 absorbed[(lay, gi)] = home
                 continue
-            prev = [solution.steps[c.index] for c in commodities if c.layer < lay]
-            dest = max(prev) + 1 if prev else 1
             if dest > d or d == 0:
                 trailing_locals.append(gate)
             else:

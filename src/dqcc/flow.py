@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .circuit import Commodity
-from .network import QuotientGraph, edge_key
+from .network import Edge, QuotientGraph, edge_key
 from .relations import RelationTable
 
 
@@ -66,7 +66,7 @@ def dump_solution(solution: Solution) -> str:
 def _precedence(
     commodities: list[Commodity], relations: RelationTable
 ) -> tuple[dict[int, list[tuple[int, int]]], dict[int, int]]:
-    """Precedence as per-commodity lists, built once per solver call.
+    """Precedence as per-commodity lists, built once per ``_Router``.
 
     ``preds[i]`` holds (j, gap) for every predecessor j of i: i completes
     no earlier than step tau[j] + gap, where gap is 0 if the two may share
@@ -89,26 +89,44 @@ def _precedence(
 
 
 class _Router:
-    """Minimum-total-flow routing of one step's commodities under the
-    per-step capacities, memoized on the commodity subset."""
+    """Per-compile state every probe of one ``quickest`` call shares.
 
-    def __init__(self, q: QuotientGraph, commodities: list[Commodity], stats: SolverStats):
+    Holds the precedence lists, each commodity's simple paths with their
+    edge keys (computed once per processor pair), and the minimum-total-
+    flow routing of one step's commodities under the per-step capacities,
+    memoized on the commodity subset.
+    """
+
+    def __init__(
+        self,
+        q: QuotientGraph,
+        commodities: list[Commodity],
+        relations: RelationTable,
+        stats: SolverStats,
+    ):
         self.q = q
         self.stats = stats
-        self.by_index = {c.index: c for c in commodities}
+        self.preds, self.tail = _precedence(commodities, relations)
         self.paths: dict[int, list[tuple[str, ...]]] = {}
+        self.edges: dict[int, list[tuple[Edge, ...]]] = {}
         self.dist: dict[int, int] = {}
+        by_pair: dict[tuple[str, str], tuple[list, list]] = {}
         for c in commodities:
-            options = q.simple_paths(c.target_proc, c.control_proc)
-            self.paths[c.index] = options
-            self.dist[c.index] = len(options[0]) - 1 if options else 10**9
+            pair = (c.target_proc, c.control_proc)
+            if pair not in by_pair:
+                paths = q.simple_paths(*pair)
+                by_pair[pair] = paths, [tuple(edge_key(*e) for e in path_edges(p)) for p in paths]
+            paths, edges = by_pair[pair]
+            self.paths[c.index], self.edges[c.index] = paths, edges
+            self.dist[c.index] = len(edges[0]) if edges else 10**9
         self.cache: dict[tuple[int, ...], tuple[int, dict[int, tuple[str, ...]]] | None] = {}
 
     def route(self, members: tuple[int, ...]) -> tuple[int, dict[int, tuple[str, ...]]] | None:
         if members in self.cache:
             return self.cache[members]
+        capacity = self.q.capacity
         best: list = [None]
-        used: dict[tuple[str, str], int] = {}
+        used: dict[Edge, int] = {}
         chosen: dict[int, tuple[str, ...]] = {}
         remaining_bound = [sum(self.dist[i] for i in members)]
 
@@ -122,9 +140,8 @@ class _Router:
                 return
             i = members[pos]
             remaining_bound[0] -= self.dist[i]
-            for path in self.paths[i]:
-                edges = [edge_key(a, b) for a, b in zip(path, path[1:])]
-                if any(used.get(e, 0) + 1 > self.q.capacity[e] for e in edges):
+            for path, edges in zip(self.paths[i], self.edges[i]):
+                if any(used.get(e, 0) >= capacity[e] for e in edges):
                     continue
                 for e in edges:
                     used[e] = used.get(e, 0) + 1
@@ -168,15 +185,14 @@ def solve_fixed_horizon(
     if d < 1:
         raise ValueError("horizon must be positive")
     stats = stats if stats is not None else SolverStats()
-    router = router if router is not None else _Router(q, commodities, stats)
+    router = router if router is not None else _Router(q, commodities, relations, stats)
     k = len(commodities)
     if k == 0:
         return Solution(0, {}, {}, 0)
     for c in commodities:
         if not router.paths[c.index]:
             return None
-    preds, tail = _precedence(commodities, relations)
-    dist = router.dist
+    preds, tail, dist = router.preds, router.tail, router.dist
     floor = sum(dist[c.index] for c in commodities)
 
     best: list = [None]
@@ -237,15 +253,16 @@ def quickest(
     that cannot share a step is feasible. Feasibility probes
     (``first_feasible``) bisect the horizons between the two, and one
     minimum-total-flow solve runs at the smallest feasible one: at most
-    ceil(log2 k) + 1 solver invocations in all.
+    ceil(log2 k) + 1 solver invocations in all. One ``_Router`` serves them
+    all, so the precedence lists, the simple paths and the routing memo are
+    built once per call.
     """
     stats = stats if stats is not None else SolverStats()
     k = len(commodities)
     if k == 0:
         return Solution(0, {}, {}, 0)
-    router = _Router(q, commodities, stats)
-    _, tail = _precedence(commodities, relations)
-    lo, hi = 1 + max(tail.values()), k - 1
+    router = _Router(q, commodities, relations, stats)
+    lo, hi = 1 + max(router.tail.values()), k - 1
     d = k
     while lo <= hi:
         mid = (lo + hi) // 2

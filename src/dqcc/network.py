@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class NetworkError(ValueError):
@@ -70,23 +71,31 @@ class QuotientGraph:
     def edges(self) -> list[Edge]:
         return sorted(self.capacity)
 
+    @cached_property
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Sorted neighbours per processor, built from the edges once."""
+        adj: dict[str, list[str]] = {}
+        for a, b in self.capacity:
+            adj.setdefault(a, []).append(b)
+            if b != a:
+                adj.setdefault(b, []).append(a)
+        return {proc: tuple(sorted(nbs)) for proc, nbs in adj.items()}
+
     def neighbors(self, proc: str) -> list[str]:
-        out = []
-        for a, b in self.edges():
-            if a == proc:
-                out.append(b)
-            elif b == proc:
-                out.append(a)
-        return sorted(out)
+        """Processors sharing an edge with ``proc``, sorted, as a new list.
+        The adjacency behind it is computed once per graph, so the edges
+        must not change after the first call."""
+        return list(self._adjacency.get(proc, ()))
 
     def distances(self, source: str) -> dict[str, int]:
         """BFS hop counts from ``source`` over quotient edges."""
+        adj = self._adjacency
         dist = {source: 0}
         frontier = [source]
         while frontier:
             nxt: list[str] = []
             for u in frontier:
-                for v in self.neighbors(u):
+                for v in adj.get(u, ()):
                     if v not in dist:
                         dist[v] = dist[u] + 1
                         nxt.append(v)
@@ -95,13 +104,14 @@ class QuotientGraph:
 
     def simple_paths(self, source: str, sink: str) -> list[tuple[str, ...]]:
         """All simple paths as node sequences, ordered by (length, nodes)."""
+        adj = self._adjacency
         out: list[tuple[str, ...]] = []
 
         def walk(node: str, seen: tuple[str, ...]) -> None:
             if node == sink:
                 out.append(seen)
                 return
-            for nb in self.neighbors(node):
+            for nb in adj.get(node, ()):
                 if nb not in seen:
                     walk(nb, seen + (nb,))
 

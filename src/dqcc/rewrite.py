@@ -479,22 +479,6 @@ class PredicateStats:
     recursive_calls: int = 0
 
 
-def _pair_fragment(
-    ci: Commodity, cj: Commodity, circuit: LogicalCircuit, commodity_ops: set[int]
-) -> list[EGate]:
-    """Sequential fragment: both protocols with the local gates whose layers
-    fall inside the pair's span. Other remote operations are excluded (the
-    recursion handles them); locals precede their layer's commodities."""
-    frag: list[EGate] = []
-    for lay in range(ci.layer, cj.layer + 1):
-        frag.extend(lift(g) for g in circuit.layers[lay] if id(g) not in commodity_ops)
-        if lay == ci.layer:
-            frag.extend(bare_telegate(ci))
-        if lay == cj.layer:
-            frag.extend(bare_telegate(cj))
-    return frag
-
-
 def _remote_gate_ids(circuit: LogicalCircuit, commodities: list[Commodity]) -> set[int]:
     """Identities of circuit gates that are remote operations."""
     by_layer: dict[int, list[Commodity]] = {}
@@ -527,8 +511,9 @@ class MergeCosts:
 
     Results are kept by ``(ci.index, cj.index)``, and a composite pair reads
     its two sub-pairs from the same table, so one relation build evaluates
-    each pair once however many longer pairs span it. The remote-gate set
-    and each commodity's bare-telegate lifetimes are computed once per table.
+    each pair once however many longer pairs span it. The remote-gate set,
+    each commodity's bare telegate and its lifetimes are computed once per
+    table.
     """
 
     def __init__(
@@ -541,6 +526,7 @@ class MergeCosts:
         self.commodities = commodities
         self.stats = stats if stats is not None else PredicateStats()
         self._remote = _remote_gate_ids(circuit, commodities)
+        self._telegates: dict[int, list[EGate]] = {}
         self._baselines: dict[int, dict[str, int]] = {}
         self._costs: dict[tuple[int, int], tuple[int | None, MergePlan | None]] = {}
 
@@ -558,10 +544,29 @@ class MergeCosts:
             return False, None
         return True, plan
 
+    def _telegate(self, com: Commodity) -> list[EGate]:
+        if com.index not in self._telegates:
+            self._telegates[com.index] = bare_telegate(com)
+        return self._telegates[com.index]
+
     def _baseline(self, com: Commodity) -> dict[str, int]:
         if com.index not in self._baselines:
-            self._baselines[com.index] = baseline_lifetimes(bare_telegate(com))
+            self._baselines[com.index] = baseline_lifetimes(self._telegate(com))
         return self._baselines[com.index]
+
+    def _pair_fragment(self, ci: Commodity, cj: Commodity) -> list[EGate]:
+        """Sequential fragment: both protocols with the local gates whose
+        layers fall inside the pair's span. Other remote operations are
+        excluded (the recursion handles them); locals precede their layer's
+        commodities."""
+        frag: list[EGate] = []
+        for lay in range(ci.layer, cj.layer + 1):
+            frag.extend(lift(g) for g in self.circuit.layers[lay] if id(g) not in self._remote)
+            if lay == ci.layer:
+                frag.extend(self._telegate(ci))
+            if lay == cj.layer:
+                frag.extend(self._telegate(cj))
+        return frag
 
     def _evaluate(self, ci: Commodity, cj: Commodity) -> tuple[int | None, MergePlan | None]:
         self.stats.recursive_calls += 1
@@ -578,7 +583,7 @@ class MergeCosts:
                 return None, None
             return left + right, None
 
-        seq = _pair_fragment(ci, cj, self.circuit, self._remote)
+        seq = self._pair_fragment(ci, cj)
         counter = [0]
         outcome = rewrite_step(seq, counter)
         self.stats.rule_applications += counter[0]
