@@ -37,10 +37,8 @@ from .network import (
     NetworkError,
     NetworkGraph,
     QuotientGraph,
-    TimeExpandedGraph,
     parse_network,
     quotient,
-    time_expand,
 )
 from .relations import RelationTable, build_relations
 from .rewrite import (

@@ -189,3 +189,18 @@ def extract_commodities(
                 )
             )
     return out
+
+
+def commodity_slots(
+    circuit: LogicalCircuit, commodities: list[Commodity]
+) -> dict[int, tuple[int, int]]:
+    """Position of each commodity's cx gate: commodity index -> (layer,
+    slot within the layer). No two gates of a layer share a qubit, so the
+    layer holds exactly one cx on the commodity's operands."""
+    slots: dict[int, tuple[int, int]] = {}
+    for c in commodities:
+        for slot, gate in enumerate(circuit.layers[c.layer]):
+            if gate.kind == "cx" and gate.qubits == c.operands:
+                slots[c.index] = (c.layer, slot)
+                break
+    return slots

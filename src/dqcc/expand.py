@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Commodity, Gate, LogicalCircuit
+from .circuit import Commodity, Gate, LogicalCircuit, commodity_slots
 from .flow import Solution, e_depth
 from .network import NetworkGraph, edge_key, links_by_edge
 from .relations import RelationTable
@@ -254,6 +254,10 @@ def emit_schedule(
     every other local gate runs at the start of the step after its last
     remote predecessor completes, once that step's corrections have
     landed. Deferred corrections open the following block.
+
+    ``relations`` is not read: each step's fragment is rewritten here from
+    the circuit. The parameter stays only because ``perfbench/tracing.py``
+    passes it by position.
     """
     d = e_depth(solution)
     by_step: dict[int, list[Commodity]] = {}
@@ -261,15 +265,7 @@ def emit_schedule(
         by_step.setdefault(solution.steps[c.index], []).append(c)
     for step in by_step:
         by_step[step].sort(key=lambda c: c.index)
-    spans = {
-        step: (min(c.layer for c in members), max(c.layer for c in members))
-        for step, members in by_step.items()
-    }
-    remote_gate_pos: dict[int, tuple[int, int]] = {}
-    for c in commodities:
-        for gi, g in enumerate(circuit.layers[c.layer]):
-            if g.kind == "cx" and g.qubits == c.operands:
-                remote_gate_pos[c.index] = (c.layer, gi)
+    remote_gate_pos = commodity_slots(circuit, commodities)
     remote_positions = set(remote_gate_pos.values())
 
     # A step's fragment needs exactly the local gates its telegates depend
@@ -277,7 +273,8 @@ def emit_schedule(
     # step's operands. Anything else may run later.
     required: dict[int, set[tuple[int, int]]] = {}
     for step, members in by_step.items():
-        lo, hi = spans[step]
+        lo = min(c.layer for c in members)
+        hi = max(c.layer for c in members)
         wires: set[str] = set()
         needed: set[tuple[int, int]] = set()
         for lay in range(hi, lo - 1, -1):
@@ -292,31 +289,25 @@ def emit_schedule(
                     wires.update(gate.qubits)
         required[step] = needed
 
-    # Destination of each local gate: absorbed into a step's fragment when
-    # some co-scheduled telegate depends on it, otherwise the prefix of the
+    # Destination of each local gate: absorbed into the earliest step's
+    # fragment whose telegates depend on it, otherwise the prefix of the
     # step after its last remote predecessor completes (its corrections
     # have landed by then), or the trailing block.
+    absorbed: dict[tuple[int, int], int] = {}
+    for step in sorted(required):
+        for pos in required[step]:
+            absorbed.setdefault(pos, step)
     last_step: dict[int, int] = {}  # layer -> latest step of its commodities
     for c in commodities:
         last_step[c.layer] = max(last_step.get(c.layer, 0), solution.steps[c.index])
-    absorbed: dict[tuple[int, int], int] = {}
     prefix: dict[int, list[Gate]] = {}
     trailing_locals: list[Gate] = []
-    ordered_spans = sorted(spans.items())
     latest = 0  # latest step of any commodity in an earlier layer
     for lay, layer in enumerate(circuit.layers):
         dest = latest + 1
         latest = max(latest, last_step.get(lay, 0))
         for gi, gate in enumerate(layer):
-            if (lay, gi) in remote_positions:
-                continue
-            home = None
-            for step, (lo, hi) in ordered_spans:
-                if lo <= lay <= hi and (lay, gi) in required[step]:
-                    home = step
-                    break
-            if home is not None:
-                absorbed[(lay, gi)] = home
+            if (lay, gi) in remote_positions or (lay, gi) in absorbed:
                 continue
             if dest > d or d == 0:
                 trailing_locals.append(gate)
@@ -357,8 +348,14 @@ def emit_schedule(
     return PhysicalSchedule(tuple(circuit.qubits), blocks, d)
 
 
+# Operand count of every physical gate but the measurement, which has its
+# own ``m <q> -> <bit>`` form.
+_OPERANDS = {"h": 1, "t": 1, "cx": 2, "e": 2, "zc": 2, "xc": 2}
+
+
 def parse_physical(text: str) -> PhysicalSchedule:
-    """Parse the physical circuit format back into step blocks."""
+    """Parse the physical circuit format back into step blocks. A malformed
+    line raises ``EmitError`` naming the line."""
     comp: tuple[str, ...] | None = None
     blocks: list[StepBlock] = []
     current = StepBlock(0, [])
@@ -370,9 +367,13 @@ def parse_physical(text: str) -> PhysicalSchedule:
             parts = line.strip("- ").split()
             if len(parts) != 2 or parts[0] != "step":
                 raise EmitError(f"line {lineno}: malformed step marker")
+            try:
+                index = int(parts[1])
+            except ValueError:
+                raise EmitError(f"line {lineno}: malformed step number {parts[1]!r}") from None
             if current.gates or current.index > 0:
                 blocks.append(current)
-            current = StepBlock(int(parts[1]), [])
+            current = StepBlock(index, [])
             continue
         parts = line.split()
         head = parts[0].lower()
@@ -381,6 +382,8 @@ def parse_physical(text: str) -> PhysicalSchedule:
             continue
         if comp is None:
             raise EmitError(f"line {lineno}: gate before qubits header")
+        if head in _OPERANDS and len(parts) != 1 + _OPERANDS[head]:
+            raise EmitError(f"line {lineno}: {head} takes {_OPERANDS[head]} operand(s)")
         if head in ("h", "t"):
             current.gates.append(EGate(head, (parts[1],)))
         elif head == "cx":

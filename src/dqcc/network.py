@@ -1,4 +1,5 @@
-"""Distributed architecture model: network graph, quotient graph, time expansion."""
+"""Distributed architecture model: the network graph and its quotient over
+processors, the graph the flow solver routes on."""
 
 from __future__ import annotations
 
@@ -32,15 +33,31 @@ class NetworkGraph:
     locals_: tuple[Edge, ...]
     links: tuple[Edge, ...]
 
-    def processor_of(self, node: str) -> str:
+    @cached_property
+    def _owner(self) -> dict[str, str]:
+        """Node -> processor, built from the declarations once."""
+        owner: dict[str, str] = {}
         for name, (comp, comm) in self.processors.items():
-            if node in comp or node in comm:
-                return name
-        raise NetworkError(f"unknown node {node!r}")
+            for node in comp + comm:
+                owner.setdefault(node, name)
+        return owner
 
-    @property
-    def computation_qubits(self) -> tuple[str, ...]:
-        return tuple(q for comp, _ in self.processors.values() for q in comp)
+    @cached_property
+    def _local_adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Local neighbours per node in coupling declaration order, built
+        from the couplings once."""
+        adj: dict[str, list[str]] = {}
+        for a, b in self.locals_:
+            adj.setdefault(a, []).append(b)
+            if b != a:
+                adj.setdefault(b, []).append(a)
+        return {node: tuple(nbs) for node, nbs in adj.items()}
+
+    def processor_of(self, node: str) -> str:
+        try:
+            return self._owner[node]
+        except KeyError:
+            raise NetworkError(f"unknown node {node!r}") from None
 
     @property
     def communication_qubits(self) -> tuple[str, ...]:
@@ -51,13 +68,10 @@ class NetworkGraph:
         return {q: p for p, (comp, _) in self.processors.items() for q in comp}
 
     def local_neighbors(self, node: str) -> list[str]:
-        out = []
-        for a, b in self.locals_:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return out
+        """Nodes locally coupled to ``node``, in declaration order, as a new
+        list. The maps behind this and ``processor_of`` are computed once
+        per graph, so the declarations must not change after the first call."""
+        return list(self._local_adjacency.get(node, ()))
 
 
 @dataclass(frozen=True)
@@ -73,34 +87,14 @@ class QuotientGraph:
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
-        """Sorted neighbours per processor, built from the edges once."""
+        """Sorted neighbours per processor, built from the edges once, so the
+        edges must not change after the first ``simple_paths`` call."""
         adj: dict[str, list[str]] = {}
         for a, b in self.capacity:
             adj.setdefault(a, []).append(b)
             if b != a:
                 adj.setdefault(b, []).append(a)
         return {proc: tuple(sorted(nbs)) for proc, nbs in adj.items()}
-
-    def neighbors(self, proc: str) -> list[str]:
-        """Processors sharing an edge with ``proc``, sorted, as a new list.
-        The adjacency behind it is computed once per graph, so the edges
-        must not change after the first call."""
-        return list(self._adjacency.get(proc, ()))
-
-    def distances(self, source: str) -> dict[str, int]:
-        """BFS hop counts from ``source`` over quotient edges."""
-        adj = self._adjacency
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt: list[str] = []
-            for u in frontier:
-                for v in adj.get(u, ()):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return dist
 
     def simple_paths(self, source: str, sink: str) -> list[tuple[str, ...]]:
         """All simple paths as node sequences, ordered by (length, nodes)."""
@@ -118,29 +112,6 @@ class QuotientGraph:
         walk(source, (source,))
         out.sort(key=lambda p: (len(p), p))
         return out
-
-
-@dataclass(frozen=True)
-class TimeExpandedGraph:
-    """d copies of the quotient graph plus per-commodity endpoint nodes.
-
-    A source connector runs from commodity i's external node into its
-    control processor's copy-tau node, a sink connector out of its target
-    processor's copy-tau node; both carry unit capacity and exist only for
-    tau <= min(i, d). That pruning is unsound: an optimum can run the i-th
-    operation later than step i (the flow solver's step domain is
-    [head(i), d - tail(i)] instead). Nothing in the pipeline reads this
-    expansion.
-    """
-
-    d: int
-    copies: tuple[int, ...]
-    intra_edges: tuple[tuple[int, Edge, int], ...]  # (tau, edge, capacity)
-    source_connectors: dict[int, tuple[tuple[str, int], ...]]  # i -> ((P^C@tau), ...)
-    sink_connectors: dict[int, tuple[tuple[str, int], ...]]  # i -> ((P^T@tau), ...)
-
-    def connector_count(self, index: int) -> int:
-        return len(self.source_connectors[index]) + len(self.sink_connectors[index])
 
 
 def parse_network(text: str) -> NetworkGraph:
@@ -273,28 +244,3 @@ def links_by_edge(net: NetworkGraph) -> dict[Edge, list[Edge]]:
         table.setdefault(key, []).append(pair)
     return table
 
-
-def time_expand(q: QuotientGraph, endpoints: list[tuple[str, str]], d: int) -> TimeExpandedGraph:
-    """Static expansion of the quotient graph over d time steps.
-
-    ``endpoints`` lists (control processor, target processor) per
-    commodity in enumeration order. Each step contributes a full copy;
-    commodity i gains unit-capacity connectors only to copies
-    1..min(i, d), a pruning that can cut off every optimum (see
-    ``TimeExpandedGraph``).
-    """
-    if d < 1:
-        raise NetworkError(f"time horizon must be positive, got {d}")
-    intra = tuple(
-        (tau, e, q.capacity[e]) for tau in range(1, d + 1) for e in q.edges()
-    )
-    src: dict[int, tuple[tuple[str, int], ...]] = {}
-    snk: dict[int, tuple[tuple[str, int], ...]] = {}
-    for i, (ctrl, tgt) in enumerate(endpoints, start=1):
-        for proc in (ctrl, tgt):
-            if proc not in q.nodes:
-                raise NetworkError(f"unknown processor {proc!r} for commodity {i}")
-        reach = range(1, min(i, d) + 1)
-        src[i] = tuple((ctrl, tau) for tau in reach)
-        snk[i] = tuple((tgt, tau) for tau in reach)
-    return TimeExpandedGraph(d, tuple(range(1, d + 1)), intra, src, snk)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circuit import Commodity, LogicalCircuit
-from .rewrite import MergeCosts, MergePlan, PredicateStats
+from .rewrite import MergeCosts, PredicateStats
 
 
 @dataclass
@@ -14,14 +14,13 @@ class RelationTable:
     layer strictly precede j's, and may the two share a time step?
 
     Same-layer pairs are never ordered and always share; the sharing
-    relation is not transitive and is stored pairwise. Merge plans are
-    cached so that relation building and emission agree on the rewrite.
+    relation is not transitive and is stored pairwise. The table holds only
+    these two booleans per pair: emission rewrites each step's fragment
+    itself and reads neither relation.
     """
 
-    k: int
     precedes: dict[tuple[int, int], bool] = field(default_factory=dict)
     shares_step: dict[tuple[int, int], bool] = field(default_factory=dict)
-    plans: dict[tuple[int, int], MergePlan] = field(default_factory=dict)
 
     def prec(self, i: int, j: int) -> bool:
         """i comes in a strictly earlier layer than j (1-based indices)."""
@@ -62,7 +61,7 @@ def build_relations(
     ``MergeCosts`` table serves the whole build, so each pair's merge cost
     is evaluated at most once and composite pairs reuse their sub-pairs'.
     """
-    table = RelationTable(k=len(commodities))
+    table = RelationTable()
     costs = MergeCosts(circuit, commodities, stats) if enable_qp else None
     for a in range(len(commodities)):
         for b in range(a + 1, len(commodities)):
@@ -75,8 +74,5 @@ def build_relations(
             if costs is None:
                 table.shares_step[key] = False
                 continue
-            ok, plan = costs.shares(ci, cj, budget)
-            table.shares_step[key] = ok
-            if plan is not None:
-                table.plans[key] = plan
+            table.shares_step[key] = costs.shares(ci, cj, budget)[0]
     return table

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .circuit import Gate, LogicalCircuit, Commodity
+from .circuit import Gate, LogicalCircuit, Commodity, commodity_slots
 
 BitExpr = frozenset[str]
 
@@ -154,9 +154,6 @@ class PauliTerm:
     qubit: str
     expr: BitExpr
 
-    def as_gate(self) -> EGate:
-        return EGate("px" if self.kind == "x" else "pz", (self.qubit,), expr=self.expr)
-
 
 def push_forward(pauli: PauliTerm, gate: EGate) -> list[PauliTerm] | None:
     """Commute a pending Pauli through the next gate on its qubit.
@@ -239,11 +236,11 @@ def push_backward(cx_gate: EGate, gate: EGate) -> list[EGate] | None:
 
 @dataclass
 class RewriteOutcome:
-    """Result of rewriting one step fragment."""
+    """Result of rewriting one step fragment. The rules applied are counted
+    in ``rewrite_step``'s ``counter``."""
 
     in_step: list[EGate]
     corrections: list[EGate]
-    rule_count: int
 
 
 def _comm_qubits(gates: list[EGate]) -> set[str]:
@@ -405,7 +402,7 @@ def rewrite_step(gates: list[EGate], counter: list[int] | None = None) -> Rewrit
         for (q, kind), expr in sorted(parked.items(), key=lambda kv: (kv[0][0], kv[0][1] != "z"))
         if expr
     ]
-    return RewriteOutcome(work, corrections, count[0])
+    return RewriteOutcome(work, corrections)
 
 
 # --- Telegate fragments and the pairwise merge cost ---------------------
@@ -442,29 +439,18 @@ def bare_telegate(com: Commodity) -> list[EGate]:
     ]
 
 
-def baseline_lifetimes(fragment: list[EGate]) -> dict[str, int]:
-    """Lifetime of each communication qubit in a fragment run on its own."""
-    alone = lifetimes(fragment)
-    return {q: alone[q] for q in sorted(_comm_qubits(fragment))}
-
-
 @dataclass(frozen=True)
 class MergePlan:
     """Witness that two conflicting telegates can share a time step.
 
     ``sequential`` is the untouched composition (protocol of the earlier
     gate, intervening locals, protocol of the later gate); ``in_step`` and
-    ``corrections`` are the rewritten form. ``cost`` is the worst lifetime
-    growth over all communication qubits relative to each telegate running
-    alone.
+    ``corrections`` are the rewritten form.
     """
 
-    first: int
-    second: int
     sequential: tuple[EGate, ...]
     in_step: tuple[EGate, ...]
     corrections: tuple[EGate, ...]
-    cost: int
 
 
 @dataclass
@@ -477,20 +463,6 @@ class PredicateStats:
 
     rule_applications: int = 0
     recursive_calls: int = 0
-
-
-def _remote_gate_ids(circuit: LogicalCircuit, commodities: list[Commodity]) -> set[int]:
-    """Identities of circuit gates that are remote operations."""
-    by_layer: dict[int, list[Commodity]] = {}
-    for c in commodities:
-        by_layer.setdefault(c.layer, []).append(c)
-    ids: set[int] = set()
-    for lay, coms in by_layer.items():
-        pending = {c.operands for c in coms}
-        for g in circuit.layers[lay]:
-            if g.kind == "cx" and g.qubits in pending:
-                ids.add(id(g))
-    return ids
 
 
 def cone_independent(ci: Commodity, cj: Commodity, circuit: LogicalCircuit) -> bool:
@@ -511,9 +483,9 @@ class MergeCosts:
 
     Results are kept by ``(ci.index, cj.index)``, and a composite pair reads
     its two sub-pairs from the same table, so one relation build evaluates
-    each pair once however many longer pairs span it. The remote-gate set,
-    each commodity's bare telegate and its lifetimes are computed once per
-    table.
+    each pair once however many longer pairs span it. The remote-gate
+    slots, each commodity's bare telegate and its lifetimes are computed
+    once per table.
     """
 
     def __init__(
@@ -525,7 +497,7 @@ class MergeCosts:
         self.circuit = circuit
         self.commodities = commodities
         self.stats = stats if stats is not None else PredicateStats()
-        self._remote = _remote_gate_ids(circuit, commodities)
+        self._remote = set(commodity_slots(circuit, commodities).values())
         self._telegates: dict[int, list[EGate]] = {}
         self._baselines: dict[int, dict[str, int]] = {}
         self._costs: dict[tuple[int, int], tuple[int | None, MergePlan | None]] = {}
@@ -551,7 +523,7 @@ class MergeCosts:
 
     def _baseline(self, com: Commodity) -> dict[str, int]:
         if com.index not in self._baselines:
-            self._baselines[com.index] = baseline_lifetimes(self._telegate(com))
+            self._baselines[com.index] = lifetimes(self._telegate(com))
         return self._baselines[com.index]
 
     def _pair_fragment(self, ci: Commodity, cj: Commodity) -> list[EGate]:
@@ -561,7 +533,11 @@ class MergeCosts:
         commodities."""
         frag: list[EGate] = []
         for lay in range(ci.layer, cj.layer + 1):
-            frag.extend(lift(g) for g in self.circuit.layers[lay] if id(g) not in self._remote)
+            frag.extend(
+                lift(g)
+                for slot, g in enumerate(self.circuit.layers[lay])
+                if (lay, slot) not in self._remote
+            )
             if lay == ci.layer:
                 frag.extend(self._telegate(ci))
             if lay == cj.layer:
@@ -594,14 +570,7 @@ class MergeCosts:
         for com in (ci, cj):
             for q, ref in self._baseline(com).items():
                 worst = max(worst, merged[q] - ref)
-        plan = MergePlan(
-            first=ci.index,
-            second=cj.index,
-            sequential=tuple(seq),
-            in_step=tuple(outcome.in_step),
-            corrections=tuple(outcome.corrections),
-            cost=worst,
-        )
+        plan = MergePlan(tuple(seq), tuple(outcome.in_step), tuple(outcome.corrections))
         return worst, plan
 
 

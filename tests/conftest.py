@@ -105,7 +105,7 @@ def hub_network(k: int, capacity: int) -> str:
 def make_relations(commodities: list[Commodity], qp=None) -> RelationTable:
     """Relation table straight from layers, with an optional predicate for
     the sharing relation on distinct-layer pairs (default: never)."""
-    table = RelationTable(k=len(commodities))
+    table = RelationTable()
     for a in range(len(commodities)):
         for b in range(a + 1, len(commodities)):
             ci, cj = commodities[a], commodities[b]

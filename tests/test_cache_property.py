@@ -47,20 +47,6 @@ def scan_neighbors(q, proc):
     return sorted(out)
 
 
-def scan_distances(q, source):
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in scan_neighbors(q, u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def scan_simple_paths(q, source, sink):
     out = []
 
@@ -98,18 +84,15 @@ def pairwise_precedence(coms, rel):
 def test_cached_structures_match_per_call_definitions(instance):
     q, coms, rel = instance
     for proc in q.nodes + ("absent",):
-        assert q.neighbors(proc) == scan_neighbors(q, proc)
-        assert q.distances(proc) == scan_distances(q, proc)
         for sink in q.nodes:
             assert q.simple_paths(proc, sink) == scan_simple_paths(q, proc, sink)
 
     # Each call hands out a new list: mutating one leaves the graph alone.
-    proc = q.nodes[0]
-    got = q.neighbors(proc)
-    got.append("intruder")
+    source, sink = q.nodes[0], q.nodes[-1]
+    got = q.simple_paths(source, sink)
+    got.append(("intruder",))
     got.reverse()
-    assert q.neighbors(proc) == scan_neighbors(q, proc)
-    assert q.distances(proc) == scan_distances(q, proc)
+    assert q.simple_paths(source, sink) == scan_simple_paths(q, source, sink)
 
     router = _Router(q, coms, rel, SolverStats())
     assert (router.preds, router.tail) == pairwise_precedence(coms, rel)

@@ -4,6 +4,7 @@ from dqcc.circuit import (
     CircuitError,
     Gate,
     LogicalCircuit,
+    commodity_slots,
     extract_commodities,
     layerize,
     parse_circuit,
@@ -116,3 +117,15 @@ def test_extract_commodities_mixed_local_remote():
     coms = extract_commodities(circ, {"a": "P1", "b": "P1", "c": "P2"})
     assert len(coms) == 1
     assert coms[0].index == 1 and coms[0].control_qubit == "b"
+
+
+def test_commodity_slots_hold_each_commodity_cx(example_circuit):
+    placement = {"q1": "P1", "q2": "P2", "q3": "P3", "q4": "P4"}
+    coms = extract_commodities(example_circuit, placement)
+    slots = commodity_slots(example_circuit, coms)
+    assert sorted(slots) == [c.index for c in coms]
+    assert len(set(slots.values())) == len(coms)
+    for c in coms:
+        layer, slot = slots[c.index]
+        assert layer == c.layer
+        assert example_circuit.layers[layer][slot] == Gate("cx", c.operands)

@@ -190,3 +190,14 @@ def test_numpy_loads_only_for_verification(files):
     assert "e_depth=" in proc.stdout
     assert "dqcc.relations" in proc.stderr
     assert "numpy" not in proc.stderr
+
+
+@pytest.mark.parametrize("line", ["cx a", "h", "e a", "zc a", "--- step x ---"])
+def test_verify_rejects_malformed_physical_line(tmp_path, capsys, line):
+    circ = tmp_path / "c.circ"
+    phys = tmp_path / "c.physical"
+    circ.write_text("qubits a b\ncx a b\n")
+    phys.write_text(f"qubits a b\n{line}\n")
+    code = main(["verify", "--circuit", str(circ), "--physical", str(phys)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: line 2: ")

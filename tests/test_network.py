@@ -5,14 +5,13 @@ from dqcc.network import (
     links_by_edge,
     parse_network,
     quotient,
-    time_expand,
 )
 from conftest import TOY_NETWORK
 
 
 def test_parse_toy_counts(toy_network):
     assert len(toy_network.processors) == 3
-    assert len(toy_network.computation_qubits) == 6
+    assert len(toy_network.placement()) == 6
     assert len(toy_network.communication_qubits) == 6
     assert len(toy_network.links) == 3
     assert len(toy_network.locals_) == 10
@@ -86,50 +85,19 @@ def test_links_by_edge_orientation(toy_network):
     assert table[("P2", "P3")] == [("c5", "c6")]
 
 
-def test_time_expand_shape(toy_network):
-    # four processors, three commodities, horizon two
-    q = quotient(
-        parse_network(
-            """
-            processor P1 { comp q1 comm a1 }
-            processor P2 { comp q2 comm a2 b2 }
-            processor P3 { comp q3 comm a3 b3 }
-            processor P4 { comp q4 comm a4 }
-            elink a1 a2
-            elink b2 a3
-            elink b3 a4
-            local q1 a1
-            local q2 a2
-            local q3 a3
-            local q4 a4
-            """
-        )
-    )
-    ends = [("P1", "P2"), ("P2", "P4"), ("P3", "P1")]
-    teg = time_expand(q, ends, d=2)
-    assert teg.copies == (1, 2)
-    assert len(teg.intra_edges) == 2 * len(q.edges())
-    assert all(cap == q.capacity[e] for _, e, cap in teg.intra_edges)
-    # commodity 1 reaches copy 1 only; 2 and 3 reach both copies
-    assert teg.source_connectors[1] == (("P1", 1),)
-    assert teg.source_connectors[2] == (("P2", 1), ("P2", 2))
-    assert teg.sink_connectors[3] == (("P1", 1), ("P1", 2))
-    assert [teg.connector_count(i) for i in (1, 2, 3)] == [2, 4, 4]
-
-
-def test_time_expand_pruning_rule(toy_network):
-    q = quotient(toy_network)
-    ends4 = [("P1", "P2")] * 4
-    teg = time_expand(q, ends4, d=1)
-    assert all(teg.connector_count(i) == 2 for i in range(1, 5))
-    teg = time_expand(q, ends4[:1], d=10)
-    assert teg.connector_count(1) == 2
-    assert teg.copies == tuple(range(1, 11))
-    wide = time_expand(q, [("P1", "P3")] * 6, d=4)
-    for i in range(1, 7):
-        assert wide.connector_count(i) == 2 * min(i, 4)
-
-
-def test_time_expand_rejects_bad_horizon(toy_network):
-    with pytest.raises(NetworkError, match="positive"):
-        time_expand(quotient(toy_network), [("P1", "P2")], 0)
+def test_node_maps_match_declaration_scans(toy_network):
+    # processor_of and local_neighbors answer from maps built once per
+    # graph; they must agree with scanning the declarations.
+    for name, (comp, comm) in toy_network.processors.items():
+        for node in comp + comm:
+            assert toy_network.processor_of(node) == name
+            scan = [b if a == node else a for a, b in toy_network.locals_ if node in (a, b)]
+            assert toy_network.local_neighbors(node) == scan
+    assert toy_network.local_neighbors("c3") == ["c4", "c5"]
+    assert toy_network.local_neighbors("q3") == ["c4", "c5"]
+    # Each call hands out a new list: mutating one leaves the graph alone.
+    toy_network.local_neighbors("q1").append("intruder")
+    assert toy_network.local_neighbors("q1") == ["q2", "c1"]
+    with pytest.raises(NetworkError, match="unknown node 'nowhere'"):
+        toy_network.processor_of("nowhere")
+    assert toy_network.local_neighbors("nowhere") == []

@@ -1,5 +1,5 @@
 """Seeded property test: one relation build sharing a merge-cost table
-gives the relations and plans of evaluating every pair on its own."""
+gives the relations of evaluating every pair on its own."""
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -42,7 +42,7 @@ def test_shared_table_matches_fresh_evaluation(program):
     stats = PredicateStats()
     table = build_relations(coms, circ, budget=budget, stats=stats)
 
-    precedes, shares, plans = {}, {}, {}
+    precedes, shares = {}, {}
     distinct = 0
     for a, ci in enumerate(coms):
         for cj in coms[a + 1 :]:
@@ -52,11 +52,8 @@ def test_shared_table_matches_fresh_evaluation(program):
                 shares[key] = True
                 continue
             distinct += 1
-            cost, plan = merge_cost(ci, cj, circ, coms, PredicateStats())
+            cost, _ = merge_cost(ci, cj, circ, coms, PredicateStats())
             shares[key] = cost is not None and cost <= budget
-            if shares[key] and plan is not None:
-                plans[key] = plan
     assert table.precedes == precedes
     assert table.shares_step == shares
-    assert table.plans == plans
     assert stats.recursive_calls <= distinct
