@@ -384,6 +384,8 @@ def parse_physical(text: str) -> PhysicalSchedule:
             raise EmitError(f"line {lineno}: gate before qubits header")
         if head in _OPERANDS and len(parts) != 1 + _OPERANDS[head]:
             raise EmitError(f"line {lineno}: {head} takes {_OPERANDS[head]} operand(s)")
+        if head in ("cx", "e") and parts[1] == parts[2]:
+            raise EmitError(f"line {lineno}: {head} with equal operands {parts[1]!r}")
         if head in ("h", "t"):
             current.gates.append(EGate(head, (parts[1],)))
         elif head == "cx":

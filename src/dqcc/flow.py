@@ -211,7 +211,10 @@ def solve_fixed_horizon(
             best[0] = Solution(d, dict(tau), routed, flow)
             return first_feasible or flow == floor
         rest -= dist[i]
-        head = max((tau[j] + gap for j, gap in preds[i]), default=1)
+        head = 1
+        for j, gap in preds[i]:
+            if tau[j] + gap > head:
+                head = tau[j] + gap
         for step in range(head, d - tail[i] + 1):
             before, prior = members.get(step, ()), cost.get(step, 0)
             res = router.route(before + (i,))

@@ -16,9 +16,9 @@ PRUNE_TOL = 1e-12
 # in squared Hilbert-Schmidt distance, far below the default ``tol``.
 MERGE_TOL = 1e-12
 
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex)
-_BELL = np.array([[1, 0], [0, 1]], dtype=complex) / np.sqrt(2)  # axes (a, b)
+_S = 1 / np.sqrt(2)  # the entries of h
+_T = np.exp(1j * np.pi / 4)  # the phase t puts on |1>
+_BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)  # over |ab>
 
 
 class SimulationError(RuntimeError):
@@ -47,20 +47,6 @@ class StateBranch:
         return self.state_over(order or self.qubits).reshape(-1)
 
 
-def _apply_single(state: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
-    moved = np.moveaxis(state, axis, 0)
-    shaped = moved.reshape(2, -1)
-    out = (mat @ shaped).reshape(moved.shape)
-    return np.moveaxis(out, 0, axis)
-
-
-def _apply_cx(state: np.ndarray, ctrl_axis: int, tgt_axis: int) -> np.ndarray:
-    moved = np.moveaxis(state, (ctrl_axis, tgt_axis), (0, 1))
-    out = moved.copy()
-    out[1, 0], out[1, 1] = moved[1, 1], moved[1, 0]
-    return np.moveaxis(out, (0, 1), (ctrl_axis, tgt_axis))
-
-
 def run(
     circuit: ExtendedCircuit,
     input_state: np.ndarray | None = None,
@@ -84,28 +70,103 @@ def run(
 def _run(
     circuit: ExtendedCircuit, input_state: np.ndarray | None
 ) -> tuple[list[StateBranch], int]:
-    """``run`` plus the largest branch list it held."""
+    """``run`` plus the largest branch count it held.
+
+    Every branch of a run holds the same live qubits and the same live bit
+    names: a gate touches the same wires in each, and a measurement drops
+    the same qubit and records the same bit in each. So the branches are
+    the rows of one amplitude array of shape (branches, 2**live), with a
+    tuple of bit values and a probability per row, and each gate acts on
+    all rows at once. Reshaping the rows to (rows, 2**before, 2, 2**after)
+    exposes a qubit's axis. No other array shares ``amps``'s memory until
+    the branches are returned, so h, t, px and pz write into it in place.
+    """
     comp = circuit.comp_qubits
     n = len(comp)
     if input_state is None:
-        vec = np.zeros(2**n, dtype=complex) if n else np.ones(1, dtype=complex)
-        if n:
-            vec[0] = 1.0
+        amps = np.zeros((1, 2**n), dtype=complex)
+        amps[0, 0] = 1.0
     else:
-        vec = np.asarray(input_state, dtype=complex).reshape(-1)
-        if vec.shape != (2**n,):
+        amps = np.array(input_state, dtype=complex).reshape(1, -1)
+        if amps.shape != (1, 2**n):
             raise SimulationError(f"input state must have length {2**n}")
-    branches = [
-        StateBranch(tuple(comp), vec.reshape((2,) * n), {}, 1.0)
-    ]
-
-    dying = _dying_bits(circuit.gates)
+    live = tuple(comp)
+    names: tuple[str, ...] = ()  # the live bits, in the order of each row's values
+    vals: list[tuple[int, ...]] = [()]
+    probs = [1.0]
     peak = 1
-    for gate, dead in zip(circuit.gates, dying):
-        branches = [b for br in branches for b in _apply(br, gate)]
-        peak = max(peak, len(branches))
+    for gate, dead in zip(circuit.gates, _dying_bits(circuit.gates)):
+        rows, width = amps.shape
+        if len(set(gate.qubits)) < len(gate.qubits):
+            raise SimulationError(f"gate {gate} repeats a qubit")
+        if gate.kind == "e":
+            for q in gate.qubits:
+                if q in live:
+                    raise SimulationError(f"entangling gate on live qubit {q!r}")
+            if len(live) + 2 > QUBIT_BUDGET:
+                raise SimulationError(f"qubit budget {QUBIT_BUDGET} exceeded")
+            amps = (amps[:, :, None] * _BELL).reshape(rows, 4 * width)
+            live += gate.qubits
+            continue
+        for q in gate.qubits:
+            if q not in live:
+                raise SimulationError(f"gate {gate} on consumed or unknown qubit {q!r}")
+        axis = live.index(gate.qubits[0])
+        before, after = 1 << axis, width >> (axis + 1)
+        split = amps.reshape(rows, before, 2, after)
+        if gate.kind == "h":
+            zero, one = split[:, :, 0], split[:, :, 1]
+            diff = zero - one
+            zero += one
+            zero *= _S
+            np.multiply(diff, _S, out=one)
+        elif gate.kind == "t":
+            split[:, :, 1] *= _T
+        elif gate.kind == "cx":
+            tensor = amps.reshape((rows,) + (2,) * len(live))
+            low, high = [slice(None)] * tensor.ndim, [slice(None)] * tensor.ndim
+            low[1 + axis] = high[1 + axis] = 1
+            target = 1 + live.index(gate.qubits[1])
+            low[target], high[target] = 0, 1
+            out = tensor.copy()
+            out[tuple(low)], out[tuple(high)] = tensor[tuple(high)], tensor[tuple(low)]
+            amps = out.reshape(rows, width)
+        elif gate.kind in ("px", "pz"):
+            cols = []
+            for bit in gate.expr:
+                if bit not in names:
+                    raise SimulationError(f"gate {gate} reads unmeasured bit {bit!r}")
+                cols.append(names.index(bit))
+            odd = np.array([sum(v[c] for c in cols) % 2 for v in vals], dtype=bool)
+            if gate.kind == "px":
+                split[odd] = split[odd][:, :, ::-1]
+            else:
+                split[odd, :, 1] *= -1.0
+        elif gate.kind == "m":
+            # Row r becomes rows 2r (outcome 0) and 2r + 1 (outcome 1).
+            parts = amps.view(float).reshape(rows, before, 2, 2 * after)
+            weight = np.einsum("rako,rako->rk", parts, parts).reshape(-1)
+            keep = weight > PRUNE_TOL
+            kept, w = np.flatnonzero(keep).tolist(), weight.tolist()
+            pieces = split.transpose(0, 2, 1, 3)[keep.reshape(rows, 2)]
+            amps = pieces.reshape(len(kept), width // 2)
+            amps /= np.sqrt(weight[keep])[:, None]
+            c = names.index(gate.bit) if gate.bit in names else len(names)
+            names = names[:c] + (gate.bit,) + names[c + 1 :]  # type: ignore[operator]
+            probs = [probs[r >> 1] * w[r] for r in kept]
+            vals = [vals[r >> 1][:c] + (r & 1,) + vals[r >> 1][c + 1 :] for r in kept]
+            live = live[:axis] + live[axis + 1 :]
+        else:
+            raise SimulationError(f"unknown gate kind {gate.kind!r}")
+        peak = max(peak, len(probs))
         if dead:
-            branches = _merge(branches, dead)
+            cols = [i for i, bit in enumerate(names) if bit not in dead]
+            names = tuple(names[i] for i in cols)
+            amps, vals, probs = _fold(amps, [tuple(v[i] for i in cols) for v in vals], probs)
+    branches = [
+        StateBranch(live, a.reshape((2,) * len(live)), dict(zip(names, v)), p)
+        for a, v, p in zip(amps, vals, probs)
+    ]
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > 1e-9:
         raise SimulationError(f"branch probabilities sum to {total}")
@@ -128,89 +189,26 @@ def _dying_bits(gates: tuple[EGate, ...]) -> list[set[str]]:
     return dying
 
 
-def _merge(branches: list[StateBranch], dead: set[str]) -> list[StateBranch]:
-    """Drop the dead bits, then merge branches with the same qubits, the
-    same live bits and states equal up to global phase."""
-    groups: dict[tuple, list[StateBranch]] = {}
-    out: list[StateBranch] = []
-    for br in branches:
-        bits = {k: v for k, v in br.bits.items() if k not in dead}
-        group = groups.setdefault((br.qubits, tuple(sorted(bits.items()))), [])
-        for kept in group:
-            if abs(np.vdot(kept.state, br.state)) >= 1.0 - MERGE_TOL:
-                kept.probability += br.probability
+def _fold(
+    amps: np.ndarray, vals: list[tuple[int, ...]], probs: list[float]
+) -> tuple[np.ndarray, list[tuple[int, ...]], list[float]]:
+    """Merge each row into the first surviving row with the same bit values
+    whose state equals its own up to global phase, adding probabilities in
+    row order."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    kept: list[int] = []
+    total: list[float] = []
+    for r, (v, p) in enumerate(zip(vals, probs)):
+        group = groups.setdefault(v, [])
+        for i in group:
+            if abs(np.vdot(amps[kept[i]], amps[r])) >= 1.0 - MERGE_TOL:
+                total[i] += p
                 break
         else:
-            merged = StateBranch(br.qubits, br.state, bits, br.probability)
-            group.append(merged)
-            out.append(merged)
-    return out
-
-
-def _apply(branch: StateBranch, gate: EGate) -> list[StateBranch]:
-    live = branch.qubits
-    if gate.kind == "e":
-        a, b = gate.qubits
-        for q in (a, b):
-            if q in live:
-                raise SimulationError(f"entangling gate on live qubit {q!r}")
-        if len(live) + 2 > QUBIT_BUDGET:
-            raise SimulationError(f"qubit budget {QUBIT_BUDGET} exceeded")
-        state = np.tensordot(branch.state, _BELL, axes=0)
-        return [StateBranch(live + (a, b), state, branch.bits, branch.probability)]
-
-    for q in gate.qubits:
-        if q not in live:
-            raise SimulationError(f"gate {gate} on consumed or unknown qubit {q!r}")
-
-    if gate.kind == "h":
-        return [_unary(branch, gate.qubits[0], _H)]
-    if gate.kind == "t":
-        return [_unary(branch, gate.qubits[0], _T)]
-    if gate.kind == "cx":
-        ca, ta = live.index(gate.qubits[0]), live.index(gate.qubits[1])
-        state = _apply_cx(branch.state, ca, ta)
-        return [StateBranch(live, state, branch.bits, branch.probability)]
-    if gate.kind in ("px", "pz"):
-        exponent = 0
-        for bit in gate.expr:
-            if bit not in branch.bits:
-                raise SimulationError(f"gate {gate} reads unmeasured bit {bit!r}")
-            exponent ^= branch.bits[bit]
-        if not exponent:
-            return [branch]
-        axis = live.index(gate.qubits[0])
-        if gate.kind == "px":
-            state = np.flip(branch.state, axis=axis)
-        else:
-            state = branch.state.copy()
-            moved = np.moveaxis(state, axis, 0)
-            moved[1] *= -1.0
-        return [StateBranch(live, state, branch.bits, branch.probability)]
-    if gate.kind == "m":
-        q = gate.qubits[0]
-        axis = live.index(q)
-        moved = np.moveaxis(branch.state, axis, 0)
-        out: list[StateBranch] = []
-        remaining = live[:axis] + live[axis + 1 :]
-        for outcome in (0, 1):
-            piece = moved[outcome]
-            p = float(np.vdot(piece, piece).real)
-            if p <= PRUNE_TOL:
-                continue
-            bits = dict(branch.bits)
-            bits[gate.bit] = outcome  # type: ignore[index]
-            out.append(
-                StateBranch(remaining, piece / np.sqrt(p), bits, branch.probability * p)
-            )
-        return out
-    raise SimulationError(f"unknown gate kind {gate.kind!r}")
-
-
-def _unary(branch: StateBranch, qubit: str, mat: np.ndarray) -> StateBranch:
-    axis = branch.qubits.index(qubit)
-    state = _apply_single(branch.state, axis, mat)
-    return StateBranch(branch.qubits, state, branch.bits, branch.probability)
+            group.append(len(kept))
+            kept.append(r)
+            total.append(p)
+    return amps[kept], [vals[r] for r in kept], total
 
 
 # --- Equivalence checking ------------------------------------------------

@@ -192,7 +192,7 @@ def test_numpy_loads_only_for_verification(files):
     assert "numpy" not in proc.stderr
 
 
-@pytest.mark.parametrize("line", ["cx a", "h", "e a", "zc a", "--- step x ---"])
+@pytest.mark.parametrize("line", ["cx a", "h", "e a", "zc a", "--- step x ---", "cx a a", "e c c"])
 def test_verify_rejects_malformed_physical_line(tmp_path, capsys, line):
     circ = tmp_path / "c.circ"
     phys = tmp_path / "c.physical"

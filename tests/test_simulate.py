@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -109,10 +111,43 @@ def test_unmeasured_bit_rejected():
         run(circ)
 
 
+@pytest.mark.parametrize("gate", [cx("q", "q"), e("c", "c")])
+def test_gate_repeating_a_qubit_rejected(gate):
+    with pytest.raises(SimulationError, match="repeats a qubit"):
+        run(ExtendedCircuit(("q",), (gate,)))
+
+
 def test_qubit_budget_enforced():
     gates = tuple(e(f"a{i}", f"b{i}") for i in range(8))
     with pytest.raises(SimulationError, match="budget"):
         run(ExtendedCircuit((), gates))
+
+
+# Two measurements leave four branches with one state. b1 is read by no
+# gate, so they merge into two at once; b0 keeps those apart until px
+# reads it. With 13 computation qubits one more pair after e(a, b) exceeds
+# the budget.
+WIDE = ("q", "r") + tuple(f"w{i}" for i in range(11))
+SPLIT = (h("q"), m("q", "b0"), h("w0"), m("w0", "b1"), e("a", "b"))
+JOIN = (px("r", F({"b0"})),)
+
+
+def test_split_run_holds_two_branches():
+    assert len(run(ExtendedCircuit(WIDE, SPLIT + JOIN))) == 2
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (px("r", F({"nope"})), "gate xc r nope reads unmeasured bit 'nope'"),
+        (t("q"), "gate t q on consumed or unknown qubit 'q'"),
+        (e("c", "r"), "entangling gate on live qubit 'r'"),
+        (e("c", "d"), "qubit budget 14 exceeded"),
+    ],
+)
+def test_errors_fire_with_two_branches_live(gate, message):
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        run(ExtendedCircuit(WIDE, SPLIT + (gate,) + JOIN))
 
 
 def test_equivalent_telegate_vs_logical_cx():
