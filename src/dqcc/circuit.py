@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class CircuitError(ValueError):
     """Raised for malformed circuit sources or invalid gate data."""
+
+
+def reject_reserved(names: Iterable[str], error: type[Exception], where: str = "") -> None:
+    """Raise ``error`` on the first name starting with ``_``: the rewrite
+    engine's and the verifier's own wires use that prefix, so a program or
+    network qubit named so would share a wire with them."""
+    for name in names:
+        if name.startswith("_"):
+            raise error(f"{where}qubit name {name!r}: the prefix '_' is reserved")
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,7 @@ class Gate:
 
 
 Layer = tuple[Gate, ...]
+Position = tuple[int, int]  # (layer, slot within the layer)
 
 
 @dataclass(frozen=True)
@@ -56,6 +68,7 @@ class LogicalCircuit:
         declared = set(self.qubits)
         if len(declared) != len(self.qubits):
             raise CircuitError("duplicate qubit declaration")
+        reject_reserved(self.qubits, CircuitError)
         for layer in self.layers:
             seen: set[str] = set()
             for gate in layer:
@@ -73,6 +86,43 @@ class LogicalCircuit:
     def gates(self) -> list[Gate]:
         """All gates in layer order (source order within a layer)."""
         return [g for layer in self.layers for g in layer]
+
+    @cached_property
+    def _wire_preds(self) -> dict[tuple[Position, str], Position]:
+        """The wire-order dependency DAG, built in one pass on first use:
+        (gate position, qubit) -> position of the previous gate on it."""
+        last: dict[str, Position] = {}
+        preds: dict[tuple[Position, str], Position] = {}
+        for lay, layer in enumerate(self.layers):
+            for slot, gate in enumerate(layer):
+                for q in gate.qubits:
+                    if q in last:
+                        preds[((lay, slot), q)] = last[q]
+                    last[q] = (lay, slot)
+        return preds
+
+    def cone(
+        self, roots: Iterable[tuple[Position, str]], floor: int, passing: Collection[Position] = ()
+    ) -> set[Position]:
+        """The gates at layer >= ``floor`` that the (position, qubit) roots
+        depend on, walking the DAG back from each root's previous gate on
+        its qubit. A gate reached joins and goes on along both its wires; a
+        gate in ``passing`` stays out and goes on along its arrival wire."""
+        preds, layers = self._wire_preds, self.layers
+        todo = list(roots)
+        found: set[Position] = set()
+        while todo:
+            pos, wire = todo.pop()
+            prev = preds.get((pos, wire))
+            if prev is None or prev[0] < floor or prev in found:
+                continue
+            if prev in passing:
+                todo.append((prev, wire))
+            else:
+                found.add(prev)
+                for w in layers[prev[0]][prev[1]].qubits:
+                    todo.append((prev, w))
+        return found
 
     def to_text(self) -> str:
         lines = ["qubits " + " ".join(self.qubits)]
@@ -193,11 +243,11 @@ def extract_commodities(
 
 def commodity_slots(
     circuit: LogicalCircuit, commodities: list[Commodity]
-) -> dict[int, tuple[int, int]]:
+) -> dict[int, Position]:
     """Position of each commodity's cx gate: commodity index -> (layer,
     slot within the layer). No two gates of a layer share a qubit, so the
     layer holds exactly one cx on the commodity's operands."""
-    slots: dict[int, tuple[int, int]] = {}
+    slots: dict[int, Position] = {}
     for c in commodities:
         for slot, gate in enumerate(circuit.layers[c.layer]):
             if gate.kind == "cx" and gate.qubits == c.operands:

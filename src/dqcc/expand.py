@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import Commodity, Gate, LogicalCircuit, commodity_slots
+from .circuit import Commodity, Gate, LogicalCircuit, commodity_slots, reject_reserved
 from .flow import Solution, e_depth
 from .network import NetworkGraph, edge_key, links_by_edge
 from .relations import RelationTable
@@ -269,25 +269,13 @@ def emit_schedule(
     remote_positions = set(remote_gate_pos.values())
 
     # A step's fragment needs exactly the local gates its telegates depend
-    # on: sweep each span backwards collecting the dependency cone of the
-    # step's operands. Anything else may run later.
+    # on: their dependency cone down to the step's lowest layer, passing
+    # over remote gates. Anything else may run later.
     required: dict[int, set[tuple[int, int]]] = {}
     for step, members in by_step.items():
-        lo = min(c.layer for c in members)
-        hi = max(c.layer for c in members)
-        wires: set[str] = set()
-        needed: set[tuple[int, int]] = set()
-        for lay in range(hi, lo - 1, -1):
-            for c in members:
-                if c.layer == lay:
-                    wires.update(c.operands)
-            for gi, gate in enumerate(circuit.layers[lay]):
-                if (lay, gi) in remote_positions:
-                    continue
-                if wires & set(gate.qubits):
-                    needed.add((lay, gi))
-                    wires.update(gate.qubits)
-        required[step] = needed
+        roots = [(remote_gate_pos[c.index], q) for c in members for q in c.operands]
+        lowest = min(c.layer for c in members)
+        required[step] = circuit.cone(roots, floor=lowest, passing=remote_positions)
 
     # Destination of each local gate: absorbed into the earliest step's
     # fragment whose telegates depend on it, otherwise the prefix of the
@@ -379,6 +367,7 @@ def parse_physical(text: str) -> PhysicalSchedule:
         head = parts[0].lower()
         if head == "qubits":
             comp = tuple(parts[1:])
+            reject_reserved(comp, EmitError, f"line {lineno}: ")
             continue
         if comp is None:
             raise EmitError(f"line {lineno}: gate before qubits header")
@@ -387,21 +376,23 @@ def parse_physical(text: str) -> PhysicalSchedule:
         if head in ("cx", "e") and parts[1] == parts[2]:
             raise EmitError(f"line {lineno}: {head} with equal operands {parts[1]!r}")
         if head in ("h", "t"):
-            current.gates.append(EGate(head, (parts[1],)))
+            gate = EGate(head, (parts[1],))
         elif head == "cx":
-            current.gates.append(cx(parts[1], parts[2]))
+            gate = cx(parts[1], parts[2])
         elif head == "e":
-            current.gates.append(e(parts[1], parts[2]))
+            gate = e(parts[1], parts[2])
         elif head == "m":
             if len(parts) != 4 or parts[2] != "->":
                 raise EmitError(f"line {lineno}: malformed measurement")
-            current.gates.append(m(parts[1], parts[3]))
+            gate = m(parts[1], parts[3])
         elif head in ("zc", "xc"):
             expr = frozenset() if parts[2] == "0" else frozenset(parts[2].split("^"))
             fn = pz if head == "zc" else px
-            current.gates.append(fn(parts[1], expr))
+            gate = fn(parts[1], expr)
         else:
             raise EmitError(f"line {lineno}: unknown physical gate {head!r}")
+        reject_reserved(gate.qubits, EmitError, f"line {lineno}: ")
+        current.gates.append(gate)
     if comp is None:
         raise EmitError("missing qubits header")
     if current.gates or current.index > 0:

@@ -6,6 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .circuit import reject_reserved
+
 
 class NetworkError(ValueError):
     """Raised for malformed network sources or invariant violations."""
@@ -158,6 +160,7 @@ def parse_network(text: str) -> NetworkGraph:
                 else:
                     if tok in comp_of or tok in comm_of:
                         raise NetworkError(f"line {lineno}: duplicate node name {tok!r}")
+                    reject_reserved([tok], NetworkError, f"line {lineno}: ")
                     bucket.append(tok)
                     if bucket is comp:
                         comp_of[tok] = name

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .circuit import Gate, LogicalCircuit, Commodity, commodity_slots
+from .circuit import Commodity, Gate, LogicalCircuit, Position, commodity_slots
 
 BitExpr = frozenset[str]
 
@@ -465,18 +465,6 @@ class PredicateStats:
     recursive_calls: int = 0
 
 
-def cone_independent(ci: Commodity, cj: Commodity, circuit: LogicalCircuit) -> bool:
-    """True when nothing the earlier operation does can reach the later
-    one: the qubits reachable from ci's operands through gates in the
-    intervening layers stay disjoint from cj's operands. Conservative."""
-    cone = set(ci.operands)
-    for lay in range(ci.layer + 1, cj.layer):
-        for g in circuit.layers[lay]:
-            if cone & set(g.qubits):
-                cone.update(g.qubits)
-    return not (cone & set(cj.operands))
-
-
 class MergeCosts:
     """Merge costs of one circuit's commodity pairs, each pair evaluated at
     most once.
@@ -484,8 +472,8 @@ class MergeCosts:
     Results are kept by ``(ci.index, cj.index)``, and a composite pair reads
     its two sub-pairs from the same table, so one relation build evaluates
     each pair once however many longer pairs span it. The remote-gate
-    slots, each commodity's bare telegate and its lifetimes are computed
-    once per table.
+    slots, each commodity's bare telegate, its lifetimes and its dependency
+    cone are computed once per table.
     """
 
     def __init__(
@@ -497,7 +485,9 @@ class MergeCosts:
         self.circuit = circuit
         self.commodities = commodities
         self.stats = stats if stats is not None else PredicateStats()
-        self._remote = set(commodity_slots(circuit, commodities).values())
+        self._slots = commodity_slots(circuit, commodities)
+        self._remote = set(self._slots.values())
+        self._cones: dict[int, set[Position]] = {}
         self._telegates: dict[int, list[EGate]] = {}
         self._baselines: dict[int, dict[str, int]] = {}
         self._costs: dict[tuple[int, int], tuple[int | None, MergePlan | None]] = {}
@@ -526,6 +516,14 @@ class MergeCosts:
             self._baselines[com.index] = lifetimes(self._telegate(com))
         return self._baselines[com.index]
 
+    def _cone(self, com: Commodity) -> set[Position]:
+        """Every gate ``com`` depends on, in one walk: a path from cj back
+        to ci never leaves the layers >= ci.layer, so no floor is needed."""
+        if com.index not in self._cones:
+            roots = [(self._slots[com.index], q) for q in com.operands]
+            self._cones[com.index] = self.circuit.cone(roots, floor=0)
+        return self._cones[com.index]
+
     def _pair_fragment(self, ci: Commodity, cj: Commodity) -> list[EGate]:
         """Sequential fragment: both protocols with the local gates whose
         layers fall inside the pair's span. Other remote operations are
@@ -546,8 +544,8 @@ class MergeCosts:
 
     def _evaluate(self, ci: Commodity, cj: Commodity) -> tuple[int | None, MergePlan | None]:
         self.stats.recursive_calls += 1
-        if ci.layer == cj.layer or cone_independent(ci, cj, self.circuit):
-            return 0, None
+        if self._slots[ci.index] not in self._cone(cj):
+            return 0, None  # cj does not depend on ci, as in every same-layer pair
         between = [c for c in self.commodities if ci.layer < c.layer < cj.layer]
         if between:
             pivot = between[len(between) // 2]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,10 @@ from .circuit import LogicalCircuit
 from .rewrite import EGate, ExtendedCircuit, lift
 
 QUBIT_BUDGET = 14
+# Bytes the amplitude array of one run may take, with the copy a gate makes.
+# Only an entangling gate grows the array: a measurement doubles the rows
+# and halves their width, and merging branches only drops rows.
+MEMORY_BUDGET = 1 << 30
 PRUNE_TOL = 1e-12
 # Branches whose states overlap to within this are one state up to global
 # phase. Merging such a pair moves the ensemble by about 4 * MERGE_TOL * p**2
@@ -105,6 +110,9 @@ def _run(
                     raise SimulationError(f"entangling gate on live qubit {q!r}")
             if len(live) + 2 > QUBIT_BUDGET:
                 raise SimulationError(f"qubit budget {QUBIT_BUDGET} exceeded")
+            need = 2 * 4 * amps.nbytes  # four times wider, and cx or px copies it
+            if need > MEMORY_BUDGET:
+                raise SimulationError(f"memory budget {MEMORY_BUDGET} B exceeded: {gate} needs {need} B")
             amps = (amps[:, :, None] * _BELL).reshape(rows, 4 * width)
             live += gate.qubits
             continue
@@ -303,18 +311,21 @@ def _equivalence(
         dev = _hs_distance(lb, rb, refs + out_left)
         return EquivalenceReport(dev <= tol, dev, "process", max(lpeak, rpeak))
     # Sampled fallback: all basis states of the entangled register plus
-    # seeded pseudo-random states, extras pinned to |0>.
+    # seeded pseudo-random states, extras pinned to |0>. Each basis state is
+    # made when its turn comes: a row of one identity matrix per state would
+    # keep dim matrices of dim**2 amplitudes alive.
     rng = np.random.default_rng(seed)
     dim = 2**entangled
     worst = 0.0
     most = 0
-    inputs = [np.eye(dim, dtype=complex)[i] for i in range(dim)]
+    randoms = []
     for _ in range(8):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        inputs.append(v / np.linalg.norm(v))
+        randoms.append(v / np.linalg.norm(v))
+    basis = (np.eye(1, dim, i, dtype=complex)[0] for i in range(dim))
     zero = np.zeros(2**extras, dtype=complex)
     zero[0] = 1.0
-    for vec in inputs:
+    for vec in itertools.chain(basis, randoms):
         full = np.kron(vec, zero) if extras else vec
         lb, lpeak = _run(left, full)
         rb, rpeak = _run(right, full)

@@ -42,6 +42,8 @@ def test_parse_errors():
         parse_circuit("h q0\n")
     with pytest.raises(CircuitError, match="duplicate qubit"):
         parse_circuit("qubits a a\nh a\n")
+    with pytest.raises(CircuitError, match="qubit name '_c1a': the prefix '_' is reserved"):
+        LogicalCircuit(("a", "_c1a"), ())
 
 
 def test_layerize_example_circuit():

@@ -192,7 +192,9 @@ def test_numpy_loads_only_for_verification(files):
     assert "numpy" not in proc.stderr
 
 
-@pytest.mark.parametrize("line", ["cx a", "h", "e a", "zc a", "--- step x ---", "cx a a", "e c c"])
+@pytest.mark.parametrize(
+    "line", ["cx a", "h", "e a", "zc a", "--- step x ---", "cx a a", "e c c", "h _r0"]
+)
 def test_verify_rejects_malformed_physical_line(tmp_path, capsys, line):
     circ = tmp_path / "c.circ"
     phys = tmp_path / "c.physical"
@@ -201,3 +203,48 @@ def test_verify_rejects_malformed_physical_line(tmp_path, capsys, line):
     code = main(["verify", "--circuit", str(circ), "--physical", str(phys)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+def exit_code(argv) -> int:
+    try:
+        return main([str(a) for a in argv])
+    except SystemExit as exc:  # compile exits this way on unparsable input
+        return exc.code
+
+
+# The rewrite engine names commodity i's communication wires _c{i}a and
+# _c{i}b, and the verifier names its reference wires _r{i}. Before the '_'
+# prefix was reserved, naming a program qubit _c1b dropped qp of pair (1, 3)
+# from this program's relation table, and `qubits _r0 a` crashed the
+# verifier with numpy's "repeated axis in transpose".
+COLLIDING = [
+    "qubits _c1b q0_1 q1_0 q1_1\nh q1_0\ncx q1_1 _c1b\nt q1_1\ncx _c1b q0_1\n"
+    "cx _c1b q1_1\nt q1_0\nh _c1b\ncx _c1b q1_1\n",
+    "qubits _r0 a\nh a\ncx _r0 a\n",
+]
+
+
+@pytest.mark.parametrize("text", COLLIDING, ids=["_c1b", "_r0"])
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_reserved_qubit_name_exits_2(tmp_path, capsys, text, command):
+    circ = tmp_path / "c.circ"
+    circ.write_text(text)
+    name = text.split()[1]
+    net = tmp_path / "n.net"
+    net.write_text("processor P0 { comp a }\n")  # never read: the circuit fails first
+    if command == "compile":
+        argv = ["compile", "--circuit", circ, "--network", net, "--verify"]
+    else:
+        argv = ["verify", "--circuit", circ, "--physical", circ]
+    assert exit_code(argv) == 2
+    assert capsys.readouterr().err == f"error: qubit name {name!r}: the prefix '_' is reserved\n"
+
+
+def test_verifier_memory_refusal_exits_4(files, capsys, monkeypatch):
+    from dqcc import simulate
+
+    monkeypatch.setattr(simulate, "MEMORY_BUDGET", 1024)
+    circ, net, tmp = files
+    code = main(["compile", "--circuit", str(circ), "--network", str(net), "--verify"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: memory budget 1024 B exceeded: e ")

@@ -48,6 +48,12 @@ def test_parse_rejects_duplicate_names():
         parse_network(text)
 
 
+@pytest.mark.parametrize("block", ["comp q1 _r0", "comp q1 comm _c1a"])
+def test_parse_rejects_reserved_node_names(block):
+    with pytest.raises(NetworkError, match="line 1: qubit name '_.*': the prefix '_' is reserved"):
+        parse_network(f"processor P1 {{ {block} }}\n")
+
+
 def test_parse_rejects_cross_processor_local():
     text = TOY_NETWORK + "local q1 q3\n"
     with pytest.raises(NetworkError, match="crosses processors"):

@@ -1,8 +1,10 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dqcc import simulate
 from dqcc.circuit import parse_circuit
 from dqcc.rewrite import ExtendedCircuit, cx, e, h, m, px, pz, t
 from dqcc.simulate import (
@@ -117,6 +119,22 @@ def test_gate_repeating_a_qubit_rejected(gate):
         run(ExtendedCircuit(("q",), (gate,)))
 
 
+def test_memory_budget_refuses_before_allocating(monkeypatch):
+    # Six measured wires whose bits stay live until the last gate: 64 rows
+    # of one amplitude, so the entangling gate would make an array of 64
+    # rows of 4 amplitudes (4 KiB), and 8 KiB with the copy a gate makes.
+    wires = tuple(f"w{i}" for i in range(6))
+    gates = tuple(g for i, w in enumerate(wires) for g in (h(w), m(w, f"b{i}")))
+    gates += (e("a", "b"), px("a", F(f"b{i}" for i in range(6))))
+    circuit = ExtendedCircuit(wires, gates)
+    monkeypatch.setattr(simulate, "MEMORY_BUDGET", 8191)
+    message = "memory budget 8191 B exceeded: e a b needs 8192 B"
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        run(circuit)
+    monkeypatch.setattr(simulate, "MEMORY_BUDGET", 8192)
+    assert len(run(circuit)) == 2  # the px reads the last of each bit
+
+
 def test_qubit_budget_enforced():
     gates = tuple(e(f"a{i}", f"b{i}") for i in range(8))
     with pytest.raises(SimulationError, match="budget"):
@@ -207,3 +225,18 @@ def test_sampled_fallback_mode():
     ident_b = ExtendedCircuit(names, ())
     rep = equivalent_fragments(ident_a, ident_b, seed=11)
     assert rep.equal and rep.mode == "sampled"
+
+
+def test_sampled_basis_inputs_do_not_pile_up():
+    # 256 basis inputs of 256 amplitudes: 1 MiB in all, against 256 MiB if
+    # each input kept a whole identity matrix alive.
+    names = tuple(f"q{i}" for i in range(8))
+    ident = ExtendedCircuit(names, (h("q0"), h("q0")))
+    tracemalloc.start()
+    try:
+        rep = equivalent_fragments(ident, ExtendedCircuit(names, ()), seed=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.equal and rep.mode == "sampled"
+    assert peak < 16 * 2**20
