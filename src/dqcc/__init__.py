@@ -44,15 +44,12 @@ from .relations import RelationTable, build_relations
 from .rewrite import (
     EGate,
     ExtendedCircuit,
-    MergePlan,
     PauliTerm,
     forward_measurement_bit,
     lifetime,
     lifetimes,
-    merge_cost,
     push_backward,
     push_forward,
-    quasi_parallel,
     rewrite_step,
 )
 

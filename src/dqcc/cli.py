@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="only same-layer operations may share a step",
         )
-        p.add_argument("--seed", type=int, default=7, help="seed for sampled verification")
 
     comp = sub.add_parser("compile", help="schedule, expand and optionally verify")
     common(comp)
@@ -60,6 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--verify", action="store_true", help="simulate the expansion against the input")
     comp.add_argument("--out", help="write the solution dump here (physical goes to <out>.physical)")
     comp.add_argument("--dump-relations", action="store_true", help="print one line per commodity pair")
+    comp.add_argument("--seed", type=int, default=7, help="seed for sampled verification")
 
     ver = sub.add_parser("verify", help="re-check a previously emitted circuit pair")
     ver.add_argument("--circuit", required=True)

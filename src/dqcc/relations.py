@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circuit import Commodity, LogicalCircuit
-from .rewrite import MergeCosts, PredicateStats
+from .circuit import Commodity, LogicalCircuit, Position, commodity_slots
+from .rewrite import EGate, PredicateStats, bare_telegate, lifetimes, lift, rewrite_step
+
+# Communication-qubit suffixes of ``bare_telegate`` and their lifetimes
+# there, the same for every commodity; merge cost is growth past these.
+_BARE_LIFETIMES = (("a", 1), ("b", 2))
 
 
 @dataclass
@@ -46,6 +50,107 @@ class RelationTable:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+class MergeCosts:
+    """Merge costs of one circuit's commodity pairs, each pair evaluated at
+    most once.
+
+    Results are kept by ``(ci.index, cj.index)``, and a composite pair reads
+    its two sub-pairs from the same table, so one relation build evaluates
+    each pair once however many longer pairs span it. The remote-gate
+    slots, each commodity's bare telegate and its dependency cone are
+    computed once per table.
+    """
+
+    def __init__(
+        self,
+        circuit: LogicalCircuit,
+        commodities: list[Commodity],
+        stats: PredicateStats | None = None,
+    ) -> None:
+        self.circuit = circuit
+        self.commodities = commodities
+        self.stats = stats if stats is not None else PredicateStats()
+        self._slots = commodity_slots(circuit, commodities)
+        self._remote = set(self._slots.values())
+        self._cones: dict[int, set[Position]] = {}
+        self._telegates: dict[int, list[EGate]] = {}
+        self._costs: dict[tuple[int, int], int | None] = {}
+
+    def cost(self, ci: Commodity, cj: Commodity) -> int | None:
+        """Smallest coherence budget letting ci and cj (ci's layer first)
+        share a step, or None when the rule engine cannot merge them;
+        evaluated on first request only.
+
+        Same-layer and provably independent pairs cost nothing. A pair with
+        remote operations in between recurses through the middle one, and
+        the two sides' costs add: a budget split serving both exists exactly
+        when the sum fits (budget monotonicity makes integer splits exact).
+        """
+        key = (ci.index, cj.index)
+        if key not in self._costs:
+            self._costs[key] = self._evaluate(ci, cj)
+        return self._costs[key]
+
+    def _telegate(self, com: Commodity) -> list[EGate]:
+        if com.index not in self._telegates:
+            self._telegates[com.index] = bare_telegate(com)
+        return self._telegates[com.index]
+
+    def _cone(self, com: Commodity) -> set[Position]:
+        """Every gate ``com`` depends on, in one walk: a path from cj back
+        to ci never leaves the layers >= ci.layer, so no floor is needed."""
+        if com.index not in self._cones:
+            roots = [(self._slots[com.index], q) for q in com.operands]
+            self._cones[com.index] = self.circuit.cone(roots, floor=0)
+        return self._cones[com.index]
+
+    def fragment(self, ci: Commodity, cj: Commodity) -> list[EGate]:
+        """Sequential fragment: both protocols with the local gates whose
+        layers fall inside the pair's span. Other remote operations are
+        excluded (the recursion handles them); locals precede their layer's
+        commodities."""
+        frag: list[EGate] = []
+        for lay in range(ci.layer, cj.layer + 1):
+            frag.extend(
+                lift(g)
+                for slot, g in enumerate(self.circuit.layers[lay])
+                if (lay, slot) not in self._remote
+            )
+            if lay == ci.layer:
+                frag.extend(self._telegate(ci))
+            if lay == cj.layer:
+                frag.extend(self._telegate(cj))
+        return frag
+
+    def _evaluate(self, ci: Commodity, cj: Commodity) -> int | None:
+        self.stats.recursive_calls += 1
+        if self._slots[ci.index] not in self._cone(cj):
+            return 0  # cj does not depend on ci, as in every same-layer pair
+        between = [c for c in self.commodities if ci.layer < c.layer < cj.layer]
+        if between:
+            pivot = between[len(between) // 2]
+            left = self.cost(ci, pivot)
+            if left is None:
+                return None
+            right = self.cost(pivot, cj)
+            if right is None:
+                return None
+            return left + right
+
+        counter = [0]
+        outcome = rewrite_step(self.fragment(ci, cj), counter)
+        self.stats.rule_applications += counter[0]
+        if outcome is None:
+            return None
+        merged = lifetimes(outcome.in_step)
+        growth = [
+            merged[f"_c{com.index}{side}"] - bare
+            for com in (ci, cj)
+            for side, bare in _BARE_LIFETIMES
+        ]
+        return max(0, *growth)
+
+
 def build_relations(
     commodities: list[Commodity],
     circuit: LogicalCircuit,
@@ -55,9 +160,9 @@ def build_relations(
 ) -> RelationTable:
     """Build both relations for every ordered pair.
 
-    Precedence follows layer order. With quasi-parallelism enabled, sharing
-    is decided by the rewrite predicate under the coherence budget;
-    disabled, only same-layer pairs share (full parallelism only). One
+    Precedence follows layer order. With quasi-parallelism enabled, a pair
+    shares a step when its merge cost fits the coherence budget; disabled,
+    only same-layer pairs share (full parallelism only). One
     ``MergeCosts`` table serves the whole build, so each pair's merge cost
     is evaluated at most once and composite pairs reuse their sub-pairs'.
     """
@@ -70,9 +175,9 @@ def build_relations(
             table.precedes[key] = ci.layer < cj.layer
             if ci.layer == cj.layer:
                 table.shares_step[key] = True
-                continue
-            if costs is None:
+            elif costs is None:
                 table.shares_step[key] = False
-                continue
-            table.shares_step[key] = costs.shares(ci, cj, budget)[0]
+            else:
+                cost = costs.cost(ci, cj)
+                table.shares_step[key] = cost is not None and cost <= budget
     return table

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .circuit import Commodity, Gate, LogicalCircuit, Position, commodity_slots
+from .circuit import Commodity, Gate
 
 BitExpr = frozenset[str]
 
@@ -405,52 +405,26 @@ def rewrite_step(gates: list[EGate], counter: list[int] | None = None) -> Rewrit
     return RewriteOutcome(work, corrections)
 
 
-# --- Telegate fragments and the pairwise merge cost ---------------------
-
-
-@dataclass(frozen=True)
-class TelegateNames:
-    """Wire and bit names for one commodity's bare protocol fragment."""
-
-    ctrl_comm: str
-    tgt_comm: str
-    ctrl_bit: str
-    tgt_bit: str
-
-
-def _names(index: int) -> TelegateNames:
-    return TelegateNames(f"_c{index}a", f"_c{index}b", f"_b{index}a", f"_b{index}b")
+# --- Telegate fragments -----------------------------------------------
 
 
 def bare_telegate(com: Commodity) -> list[EGate]:
     """Single-link protocol for one remote cx: entangle, local cx pair,
     h on the target-side qubit, both measurements, then the deferred
-    corrections (Z on the control from the h-side bit, X on the target)."""
-    n = _names(com.index)
+    corrections (Z on the control from the h-side bit, X on the target).
+    Its communication qubits ``_c<i>a`` and ``_c<i>b`` live 1 and 2 layers."""
+    i = com.index
+    ctrl_comm, tgt_comm, ctrl_bit, tgt_bit = f"_c{i}a", f"_c{i}b", f"_b{i}a", f"_b{i}b"
     return [
-        e(n.ctrl_comm, n.tgt_comm),
-        cx(com.control_qubit, n.ctrl_comm),
-        cx(n.tgt_comm, com.target_qubit),
-        h(n.tgt_comm),
-        m(n.ctrl_comm, n.ctrl_bit),
-        m(n.tgt_comm, n.tgt_bit),
-        pz(com.control_qubit, frozenset({n.tgt_bit})),
-        px(com.target_qubit, frozenset({n.ctrl_bit})),
+        e(ctrl_comm, tgt_comm),
+        cx(com.control_qubit, ctrl_comm),
+        cx(tgt_comm, com.target_qubit),
+        h(tgt_comm),
+        m(ctrl_comm, ctrl_bit),
+        m(tgt_comm, tgt_bit),
+        pz(com.control_qubit, frozenset({tgt_bit})),
+        px(com.target_qubit, frozenset({ctrl_bit})),
     ]
-
-
-@dataclass(frozen=True)
-class MergePlan:
-    """Witness that two conflicting telegates can share a time step.
-
-    ``sequential`` is the untouched composition (protocol of the earlier
-    gate, intervening locals, protocol of the later gate); ``in_step`` and
-    ``corrections`` are the rewritten form.
-    """
-
-    sequential: tuple[EGate, ...]
-    in_step: tuple[EGate, ...]
-    corrections: tuple[EGate, ...]
 
 
 @dataclass
@@ -458,149 +432,8 @@ class PredicateStats:
     """Counters backing the polynomial-cost assertions.
 
     ``recursive_calls`` counts pair evaluations: a pair whose cost is read
-    back from a ``MergeCosts`` table is not counted again.
+    back from a ``relations.MergeCosts`` table is not counted again.
     """
 
     rule_applications: int = 0
     recursive_calls: int = 0
-
-
-class MergeCosts:
-    """Merge costs of one circuit's commodity pairs, each pair evaluated at
-    most once.
-
-    Results are kept by ``(ci.index, cj.index)``, and a composite pair reads
-    its two sub-pairs from the same table, so one relation build evaluates
-    each pair once however many longer pairs span it. The remote-gate
-    slots, each commodity's bare telegate, its lifetimes and its dependency
-    cone are computed once per table.
-    """
-
-    def __init__(
-        self,
-        circuit: LogicalCircuit,
-        commodities: list[Commodity],
-        stats: PredicateStats | None = None,
-    ) -> None:
-        self.circuit = circuit
-        self.commodities = commodities
-        self.stats = stats if stats is not None else PredicateStats()
-        self._slots = commodity_slots(circuit, commodities)
-        self._remote = set(self._slots.values())
-        self._cones: dict[int, set[Position]] = {}
-        self._telegates: dict[int, list[EGate]] = {}
-        self._baselines: dict[int, dict[str, int]] = {}
-        self._costs: dict[tuple[int, int], tuple[int | None, MergePlan | None]] = {}
-
-    def cost(self, ci: Commodity, cj: Commodity) -> tuple[int | None, MergePlan | None]:
-        """``merge_cost`` of the pair, evaluated on first request only."""
-        key = (ci.index, cj.index)
-        if key not in self._costs:
-            self._costs[key] = self._evaluate(ci, cj)
-        return self._costs[key]
-
-    def shares(self, ci: Commodity, cj: Commodity, budget: int) -> tuple[bool, MergePlan | None]:
-        """``quasi_parallel`` of the pair under the budget."""
-        cost, plan = self.cost(ci, cj)
-        if cost is None or cost > budget:
-            return False, None
-        return True, plan
-
-    def _telegate(self, com: Commodity) -> list[EGate]:
-        if com.index not in self._telegates:
-            self._telegates[com.index] = bare_telegate(com)
-        return self._telegates[com.index]
-
-    def _baseline(self, com: Commodity) -> dict[str, int]:
-        if com.index not in self._baselines:
-            self._baselines[com.index] = lifetimes(self._telegate(com))
-        return self._baselines[com.index]
-
-    def _cone(self, com: Commodity) -> set[Position]:
-        """Every gate ``com`` depends on, in one walk: a path from cj back
-        to ci never leaves the layers >= ci.layer, so no floor is needed."""
-        if com.index not in self._cones:
-            roots = [(self._slots[com.index], q) for q in com.operands]
-            self._cones[com.index] = self.circuit.cone(roots, floor=0)
-        return self._cones[com.index]
-
-    def _pair_fragment(self, ci: Commodity, cj: Commodity) -> list[EGate]:
-        """Sequential fragment: both protocols with the local gates whose
-        layers fall inside the pair's span. Other remote operations are
-        excluded (the recursion handles them); locals precede their layer's
-        commodities."""
-        frag: list[EGate] = []
-        for lay in range(ci.layer, cj.layer + 1):
-            frag.extend(
-                lift(g)
-                for slot, g in enumerate(self.circuit.layers[lay])
-                if (lay, slot) not in self._remote
-            )
-            if lay == ci.layer:
-                frag.extend(self._telegate(ci))
-            if lay == cj.layer:
-                frag.extend(self._telegate(cj))
-        return frag
-
-    def _evaluate(self, ci: Commodity, cj: Commodity) -> tuple[int | None, MergePlan | None]:
-        self.stats.recursive_calls += 1
-        if self._slots[ci.index] not in self._cone(cj):
-            return 0, None  # cj does not depend on ci, as in every same-layer pair
-        between = [c for c in self.commodities if ci.layer < c.layer < cj.layer]
-        if between:
-            pivot = between[len(between) // 2]
-            left, _ = self.cost(ci, pivot)
-            if left is None:
-                return None, None
-            right, _ = self.cost(pivot, cj)
-            if right is None:
-                return None, None
-            return left + right, None
-
-        seq = self._pair_fragment(ci, cj)
-        counter = [0]
-        outcome = rewrite_step(seq, counter)
-        self.stats.rule_applications += counter[0]
-        if outcome is None:
-            return None, None
-        merged = lifetimes(outcome.in_step)
-        worst = 0
-        for com in (ci, cj):
-            for q, ref in self._baseline(com).items():
-                worst = max(worst, merged[q] - ref)
-        plan = MergePlan(tuple(seq), tuple(outcome.in_step), tuple(outcome.corrections))
-        return worst, plan
-
-
-def merge_cost(
-    ci: Commodity,
-    cj: Commodity,
-    circuit: LogicalCircuit,
-    commodities: list[Commodity],
-    stats: PredicateStats | None = None,
-) -> tuple[int | None, MergePlan | None]:
-    """Smallest coherence budget letting ci and cj share a step, or None
-    when the rule engine cannot merge them.
-
-    Same-layer and provably independent pairs cost nothing. A pair with
-    remote operations in between recurses through the middle one, and the
-    two sides' costs add: a budget split serving both exists exactly when
-    the sum fits (budget monotonicity makes integer splits exact). Each
-    call evaluates in a fresh ``MergeCosts`` table, so every sub-pair of
-    the recursion is evaluated once; a relation build shares one table
-    across all its pairs instead.
-    """
-    return MergeCosts(circuit, commodities, stats).cost(ci, cj)
-
-
-def quasi_parallel(
-    ci: Commodity,
-    cj: Commodity,
-    budget: int,
-    circuit: LogicalCircuit,
-    commodities: list[Commodity],
-    stats: PredicateStats | None = None,
-) -> tuple[bool, MergePlan | None]:
-    """Decide whether two remote operations may run in the same time step
-    under the given coherence budget (layer units)."""
-    return MergeCosts(circuit, commodities, stats).shares(ci, cj, budget)

@@ -25,17 +25,18 @@ from dqcc.flow import (
     quickest,
 )
 from dqcc.network import QuotientGraph, edge_key, quotient
-from dqcc.relations import build_relations
+from dqcc.relations import MergeCosts, build_relations
 from dqcc.rewrite import (
     ExtendedCircuit,
     PredicateStats,
+    bare_telegate,
     cx,
     e,
     h,
     m,
-    merge_cost,
     px,
     pz,
+    rewrite_step,
     t,
 )
 from dqcc.simulate import equivalent, equivalent_fragments
@@ -243,12 +244,13 @@ def test_criterion_7_figure_equivalences():
     # conflicting pair: naive sequence against the merged step
     pair_circ = layerize(parse_circuit("qubits q1 q2 q3\ncx q1 q2\ncx q2 q3\n"))
     pair = extract_commodities(pair_circ, {"q1": "P1", "q2": "P2", "q3": "P3"})
-    _, plan = merge_cost(pair[0], pair[1], pair_circ, pair)
+    pair_seq = MergeCosts(pair_circ, pair).fragment(pair[0], pair[1])
+    pair_out = rewrite_step(pair_seq)
     record(
         "merged_pair",
         equivalent_fragments(
-            ExtendedCircuit(("q1", "q2", "q3"), plan.in_step + plan.corrections),
-            ExtendedCircuit(("q1", "q2", "q3"), plan.sequential),
+            ExtendedCircuit(("q1", "q2", "q3"), tuple(pair_out.in_step + pair_out.corrections)),
+            ExtendedCircuit(("q1", "q2", "q3"), tuple(pair_seq)),
             tol=TOL,
         ),
     )
@@ -257,8 +259,6 @@ def test_criterion_7_figure_equivalences():
     mixed_src = "qubits q1 q2 q3 q4\ncx q1 q2\nh q2\ncx q2 q3\nh q3\ncx q4 q3\n"
     mixed = layerize(parse_circuit(mixed_src))
     mixed_coms = extract_commodities(mixed, {f"q{i}": f"P{i}" for i in range(1, 5)})
-    from dqcc.rewrite import bare_telegate, rewrite_step
-
     seq = (
         bare_telegate(mixed_coms[0]) + [h("q2")] + bare_telegate(mixed_coms[1])
         + [h("q3")] + bare_telegate(mixed_coms[2])
@@ -393,7 +393,7 @@ def test_criterion_10_predicate_complexity():
         circ = layerize(parse_circuit(src))
         coms = extract_commodities(circ, {"a": "P1", "b": "P2", "c": "P3"})
         stats = PredicateStats()
-        cost, _ = merge_cost(coms[0], coms[1], circ, coms, stats)
+        cost = MergeCosts(circ, coms, stats).cost(coms[0], coms[1])
         assert cost is not None
         apps.append(stats.rule_applications)
     slope, intercept = np.polyfit(sizes, apps, 1)
@@ -407,7 +407,7 @@ def test_criterion_10_predicate_complexity():
         k = mcount + 2
         circ, net, coms = commodities_of(hub_chain(k), hub_network(k, k))
         stats = PredicateStats()
-        merge_cost(coms[0], coms[-1], circ, coms, stats)
+        MergeCosts(circ, coms, stats).cost(coms[0], coms[-1])
         recursion_ok &= stats.recursive_calls <= 2 * mcount + 3
     report(
         10,

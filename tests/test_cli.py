@@ -152,6 +152,16 @@ def test_oracle_instance_too_large_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_oracle_rejects_seed(tmp_path, capsys):
+    # Only sampled verification reads a seed, and the oracle never verifies.
+    circ = tmp_path / "c.circ"
+    net = tmp_path / "n.net"
+    circ.write_text(hub_chain(3))
+    net.write_text(hub_network(3, 3))
+    assert exit_code(["oracle", "--circuit", circ, "--network", net, "--seed", "3"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_dump_relations_flag(files, capsys):
     circ, net, tmp = files
     code, out = run_cli(

@@ -299,3 +299,28 @@ def test_bit_names_carry_step_prefix():
     for block in sched.blocks[:2]:
         bits = [g.bit for g in block.gates if g.kind == "m"]
         assert bits and all(b.startswith(f"b{block.index}_") for b in bits)
+
+
+def test_local_gate_in_two_steps_cones_is_emitted_once():
+    # `h b` (and `t b`) lie in the cones of `cx b x` (step 1) and `cx b y`
+    # (step 2). This schedule puts 3 before its sharable predecessor 2, an
+    # order layer precedence never yields but a reordering of independent
+    # operations may; the earliest step that needs a local gate absorbs it.
+    network = "processor P1 { comp a b c comm p q }\nprocessor P2 { comp x y z comm r s }\n"
+    network += "".join(f"local {c} {m}\n" for c in "abc" for m in "pq")
+    network += "".join(f"local {c} {m}\n" for c in "xyz" for m in "rs")
+    network += "elink p r\nelink q s\n"
+    circ, net, coms = commodities_of(
+        "qubits a b c x y z\ncx a x\nt c\ncx c z\nt b\nh b\ncx b x\ncx b y\n", network
+    )
+    rel = build_relations(coms, circ, budget=4)
+    from dqcc.flow import Solution, check_solution
+
+    sol = Solution(2, {1: 1, 3: 1, 2: 2, 4: 2}, {i: ("P2", "P1") for i in range(1, 5)}, 4)
+    assert check_solution(quotient(net), coms, rel, sol) == [
+        "3 completes before its sharable predecessor 2"
+    ]
+    sched = emit_schedule(sol, circ, coms, rel, net)
+    assert [str(g) for b in sched.blocks for g in b.gates].count("h b") == 1
+    rep = equivalent(sched.flat(), circ)
+    assert rep.equal, rep.max_deviation

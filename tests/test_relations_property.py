@@ -5,8 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dqcc.circuit import extract_commodities, layerize, parse_circuit
-from dqcc.relations import build_relations
-from dqcc.rewrite import PredicateStats, merge_cost
+from dqcc.relations import MergeCosts, build_relations
+from dqcc.rewrite import PredicateStats
 
 
 @st.composite
@@ -52,7 +52,7 @@ def test_shared_table_matches_fresh_evaluation(program):
                 shares[key] = True
                 continue
             distinct += 1
-            cost, _ = merge_cost(ci, cj, circ, coms, PredicateStats())
+            cost = MergeCosts(circ, coms).cost(ci, cj)
             shares[key] = cost is not None and cost <= budget
     assert table.precedes == precedes
     assert table.shares_step == shares

@@ -1,6 +1,7 @@
 import pytest
 
 from dqcc.circuit import extract_commodities, layerize, parse_circuit
+from dqcc.relations import MergeCosts
 from dqcc.rewrite import (
     ExtendedCircuit,
     PauliTerm,
@@ -13,12 +14,10 @@ from dqcc.rewrite import (
     lifetime,
     lifetimes,
     m,
-    merge_cost,
     push_backward,
     push_forward,
     px,
     pz,
-    quasi_parallel,
     rewrite_step,
     t,
 )
@@ -32,6 +31,24 @@ def conflict_pair(src="qubits q1 q2 q3\ncx q1 q2\ncx q2 q3\n"):
     circ = layerize(parse_circuit(src))
     coms = extract_commodities(circ, {f"q{i}": f"P{i}" for i in range(1, 9)})
     return circ, coms
+
+
+def cost_of(circ, coms, ci, cj, stats=None):
+    """The pair's merge cost, evaluated in a fresh table."""
+    return MergeCosts(circ, coms, stats).cost(ci, cj)
+
+
+def shares(circ, coms, ci, cj, budget):
+    """The sharing decision ``build_relations`` makes for the pair."""
+    cost = cost_of(circ, coms, ci, cj)
+    return cost is not None and cost <= budget
+
+
+def merged_pair(circ, coms, ci, cj):
+    """The pair's sequential fragment and its rewrite (None when the rule
+    engine cannot merge it)."""
+    seq = MergeCosts(circ, coms).fragment(ci, cj)
+    return seq, rewrite_step(seq)
 
 
 # --- push_forward -------------------------------------------------------
@@ -120,8 +137,8 @@ def test_lifetime_requires_pair():
 
 def test_lifetimes_takes_every_paired_qubit_from_one_layering():
     circ, coms = conflict_pair()
-    _, plan = merge_cost(coms[0], coms[1], circ, coms)
-    frag = list(plan.in_step) + [e("u", "v"), m("u", "x")]  # v is never measured
+    _, out = merged_pair(circ, coms, coms[0], coms[1])
+    frag = list(out.in_step) + [e("u", "v"), m("u", "x")]  # v is never measured
     every = lifetimes(frag)
     assert set(every) == {"_c1a", "_c1b", "_c2a", "_c2b", "u"}
     assert every == {q: lifetime(frag, q) for q in every}
@@ -130,8 +147,8 @@ def test_lifetimes_takes_every_paired_qubit_from_one_layering():
 
 def test_merged_conflict_pair_max_lifetime_two():
     circ, coms = conflict_pair()
-    _, plan = merge_cost(coms[0], coms[1], circ, coms)
-    peaks = {q: lifetime(list(plan.in_step), q) for q in ("_c1a", "_c1b", "_c2a", "_c2b")}
+    _, out = merged_pair(circ, coms, coms[0], coms[1])
+    peaks = {q: lifetime(list(out.in_step), q) for q in ("_c1a", "_c1b", "_c2a", "_c2b")}
     assert max(peaks.values()) == 2
 
 
@@ -140,9 +157,9 @@ def test_merged_conflict_pair_max_lifetime_two():
 
 def test_conflict_pair_merge_matches_protocol_rewrite():
     circ, coms = conflict_pair()
-    cost, plan = merge_cost(coms[0], coms[1], circ, coms)
-    assert cost == 1
-    by_qubit = {(g.qubits[0], g.kind): g.expr for g in plan.corrections}
+    assert cost_of(circ, coms, coms[0], coms[1]) == 1
+    _, out = merged_pair(circ, coms, coms[0], coms[1])
+    by_qubit = {(g.qubits[0], g.kind): g.expr for g in out.corrections}
     assert by_qubit[("q1", "pz")] == F({"_b1b"})
     assert by_qubit[("q2", "pz")] == F({"_b2b"})
     assert by_qubit[("q2", "px")] == F({"_b1a"})
@@ -151,16 +168,17 @@ def test_conflict_pair_merge_matches_protocol_rewrite():
 
 def test_predicate_budget_semantics():
     circ, coms = conflict_pair()
-    ok0, _ = quasi_parallel(coms[0], coms[1], 0, circ, coms)
-    ok1, plan = quasi_parallel(coms[0], coms[1], 1, circ, coms)
-    assert not ok0 and ok1 and plan is not None
+    ok0 = shares(circ, coms, coms[0], coms[1], 0)
+    ok1 = shares(circ, coms, coms[0], coms[1], 1)
+    assert not ok0 and ok1 and merged_pair(circ, coms, coms[0], coms[1])[1] is not None
 
 
 def test_predicate_same_layer_true_any_budget():
     circ, coms = conflict_pair("qubits q1 q2 q3 q4\ncx q1 q2\ncx q3 q4\n")
     assert coms[0].layer == coms[1].layer
-    ok, plan = quasi_parallel(coms[0], coms[1], 0, circ, coms)
-    assert ok and plan is None
+    stats = PredicateStats()
+    assert cost_of(circ, coms, coms[0], coms[1], stats) == 0
+    assert stats.rule_applications == 0  # decided without a rewrite
 
 
 def test_predicate_independent_pair_true():
@@ -169,43 +187,42 @@ def test_predicate_independent_pair_true():
     circ, coms = conflict_pair("qubits q1 q2 q3 q4\ncx q1 q2\ncx q4 q3\ncx q3 q4\n")
     first, third = coms[0], coms[2]
     assert first.layer != third.layer
-    ok, _ = quasi_parallel(first, third, 0, circ, coms)
-    assert ok
+    assert shares(circ, coms, first, third, 0)
 
 
 def test_predicate_budget_monotonic():
     circ, coms = conflict_pair(
         "qubits q1 q2 q3 q4\ncx q1 q2\nh q2\ncx q2 q3\nh q3\ncx q4 q3\n"
     )
-    results = [
-        quasi_parallel(coms[0], coms[2], b, circ, coms)[0] for b in range(0, 8)
-    ]
+    results = [shares(circ, coms, coms[0], coms[2], b) for b in range(0, 8)]
     assert results == sorted(results)  # False ... then True forever
 
 
 def test_predicate_blocked_by_t_on_shared_wire():
     circ, coms = conflict_pair("qubits q1 q2 q3\ncx q1 q2\nt q2\ncx q2 q3\n")
-    cost, _ = merge_cost(coms[0], coms[1], circ, coms)
-    assert cost is None
-    ok, _ = quasi_parallel(coms[0], coms[1], 99, circ, coms)
-    assert not ok
+    assert cost_of(circ, coms, coms[0], coms[1]) is None
+    assert not shares(circ, coms, coms[0], coms[1], 99)
 
 
 def test_predicate_passes_t_on_control_wire():
     circ, coms = conflict_pair("qubits q1 q2 q3\ncx q2 q1\nt q2\ncx q2 q3\n")
-    cost, plan = merge_cost(coms[0], coms[1], circ, coms)
-    assert cost is not None
-    merged = ExtendedCircuit(("q1", "q2", "q3"), plan.in_step + plan.corrections)
-    seq = ExtendedCircuit(("q1", "q2", "q3"), plan.sequential)
+    assert cost_of(circ, coms, coms[0], coms[1]) is not None
+    sequential, out = merged_pair(circ, coms, coms[0], coms[1])
+    merged = ExtendedCircuit(("q1", "q2", "q3"), tuple(out.in_step + out.corrections))
+    seq = ExtendedCircuit(("q1", "q2", "q3"), tuple(sequential))
     assert equivalent_fragments(merged, seq).equal
 
 
 def test_recursion_through_intermediate_remote():
     circ, coms = conflict_pair("qubits q1 q2 q3 q4\ncx q1 q2\ncx q2 q3\ncx q3 q4\n")
     stats = PredicateStats()
-    cost, plan = merge_cost(coms[0], coms[2], circ, coms, stats)
+    cost = cost_of(circ, coms, coms[0], coms[2], stats)
     assert cost == 2  # both pairwise merges cost one layer each
-    assert plan is None  # composite pairs carry no single plan
+    # composite pairs run no rewrite of their own: only their sub-pairs do
+    halves = [PredicateStats(), PredicateStats()]
+    cost_of(circ, coms, coms[0], coms[1], halves[0])
+    cost_of(circ, coms, coms[1], coms[2], halves[1])
+    assert stats.rule_applications == sum(h.rule_applications for h in halves)
     assert stats.recursive_calls >= 3
 
 
@@ -221,22 +238,22 @@ def test_merge_plans_are_equivalent_to_sequential():
     ]
     for src in cases:
         circ, coms = conflict_pair(src)
-        cost, plan = merge_cost(coms[0], coms[1], circ, coms)
-        assert cost is not None, src
+        assert cost_of(circ, coms, coms[0], coms[1]) is not None, src
+        sequential, out = merged_pair(circ, coms, coms[0], coms[1])
         qubits = tuple(circ.qubits)
-        merged = ExtendedCircuit(qubits, plan.in_step + plan.corrections)
-        seq = ExtendedCircuit(qubits, plan.sequential)
+        merged = ExtendedCircuit(qubits, tuple(out.in_step + out.corrections))
+        seq = ExtendedCircuit(qubits, tuple(sequential))
         rep = equivalent_fragments(merged, seq)
         assert rep.equal, (src, rep.max_deviation)
 
 
 def test_rewrite_outputs_no_inline_paulis():
     circ, coms = conflict_pair()
-    _, plan = merge_cost(coms[0], coms[1], circ, coms)
-    assert all(g.kind not in ("px", "pz") for g in plan.in_step)
-    assert all(g.kind in ("px", "pz") for g in plan.corrections)
+    _, out = merged_pair(circ, coms, coms[0], coms[1])
+    assert all(g.kind not in ("px", "pz") for g in out.in_step)
+    assert all(g.kind in ("px", "pz") for g in out.corrections)
     # every fragment gate still one of the extended kinds
-    assert {g.kind for g in plan.in_step} <= {"e", "cx", "h", "t", "m"}
+    assert {g.kind for g in out.in_step} <= {"e", "cx", "h", "t", "m"}
 
 
 def test_rewrite_step_keeps_rule_count():
@@ -266,14 +283,14 @@ def test_randomized_merges_stay_sound():
         )
         if len(coms) != 2:
             continue
-        cost, plan = merge_cost(coms[0], coms[1], circ, coms)
-        if cost is None:
+        if cost_of(circ, coms, coms[0], coms[1]) is None:
             continue
+        sequential, out = merged_pair(circ, coms, coms[0], coms[1])
         merged_count += 1
         qubits = tuple(circ.qubits)
         rep = equivalent_fragments(
-            ExtendedCircuit(qubits, plan.in_step + plan.corrections),
-            ExtendedCircuit(qubits, plan.sequential),
+            ExtendedCircuit(qubits, tuple(out.in_step + out.corrections)),
+            ExtendedCircuit(qubits, tuple(sequential)),
         )
         assert rep.equal, (src, rep.max_deviation)
     assert merged_count >= 25  # the generator must keep feeding real merges
@@ -289,9 +306,9 @@ def test_merge_never_deepens_fragment():
     ]
     for src in cases:
         circ, coms = conflict_pair(src)
-        _, plan = merge_cost(coms[0], coms[1], circ, coms)
-        merged_depth = max(asap_layers(list(plan.in_step) + list(plan.corrections)))
-        sequential_depth = max(asap_layers(list(plan.sequential)))
+        sequential, out = merged_pair(circ, coms, coms[0], coms[1])
+        merged_depth = max(asap_layers(out.in_step + out.corrections))
+        sequential_depth = max(asap_layers(sequential))
         assert merged_depth <= sequential_depth, src
 
 
@@ -303,7 +320,7 @@ def test_merge_keeps_two_pre_cx_per_telegate():
         "qubits q1 q2 q3\ncx q1 q2\nh q2\ncx q2 q3\n",
     ):
         circ, coms = conflict_pair(src)
-        _, plan = merge_cost(coms[0], coms[1], circ, coms)
-        comm = {q for g in plan.in_step if g.kind == "e" for q in g.qubits}
-        touching = [g for g in plan.in_step if g.kind == "cx" and comm & set(g.qubits)]
+        _, out = merged_pair(circ, coms, coms[0], coms[1])
+        comm = {q for g in out.in_step if g.kind == "e" for q in g.qubits}
+        touching = [g for g in out.in_step if g.kind == "cx" and comm & set(g.qubits)]
         assert len(touching) == 4

@@ -227,6 +227,15 @@ def test_sampled_fallback_mode():
     assert rep.equal and rep.mode == "sampled"
 
 
+def test_sampled_mode_catches_a_phase_only_difference():
+    # A basis input only picks up a phase under t, which the output
+    # ensemble cannot see: the random inputs must catch it.
+    names = tuple(f"q{i}" for i in range(8))
+    rep = equivalent_fragments(ExtendedCircuit(names, (t("q3"),)), ExtendedCircuit(names, ()))
+    assert rep.mode == "sampled"
+    assert not rep.equal and rep.max_deviation > 0.25
+
+
 def test_sampled_basis_inputs_do_not_pile_up():
     # 256 basis inputs of 256 amplitudes: 1 MiB in all, against 256 MiB if
     # each input kept a whole identity matrix alive.
