@@ -8,6 +8,7 @@ the rule engine so their corrections defer past the step boundary.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import Commodity, Gate, LogicalCircuit, commodity_slots, reject_reserved
@@ -384,9 +385,15 @@ def parse_physical(text: str) -> PhysicalSchedule:
         elif head == "m":
             if len(parts) != 4 or parts[2] != "->":
                 raise EmitError(f"line {lineno}: malformed measurement")
+            if parts[3] == "0" or "^" in parts[3]:
+                raise EmitError(f"line {lineno}: bit name {parts[3]!r} reads as a parity")
             gate = m(parts[1], parts[3])
         elif head in ("zc", "xc"):
-            expr = frozenset() if parts[2] == "0" else frozenset(parts[2].split("^"))
+            bits = parts[2].split("^")
+            if "" in bits:
+                raise EmitError(f"line {lineno}: empty bit name in {parts[2]!r}")
+            # The exponent is the XOR of its bits: a pair cancels, 0 adds nothing.
+            expr = frozenset(b for b, n in Counter(bits).items() if n % 2 and b != "0")
             fn = pz if head == "zc" else px
             gate = fn(parts[1], expr)
         else:

@@ -13,7 +13,6 @@ from dqcc.circuit import Commodity, extract_commodities, layerize, parse_circuit
 from dqcc.expand import (
     BitAllocator,
     BoundPath,
-    emit_schedule,
     emit_telegate,
     entanglement_path_fragment,
 )
@@ -24,8 +23,9 @@ from dqcc.flow import (
     e_depth,
     quickest,
 )
-from dqcc.network import QuotientGraph, edge_key, quotient
-from dqcc.relations import MergeCosts, build_relations
+from dqcc.network import QuotientGraph, edge_key
+from dqcc.pipeline import compile
+from dqcc.relations import MergeCosts
 from dqcc.rewrite import (
     ExtendedCircuit,
     PredicateStats,
@@ -60,24 +60,13 @@ def report(num: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {num} {label} failed: {detail}"
 
 
-def compile_pipeline(circuit_text, network_text, budget=8, enable_qp=True):
-    circ, net, coms = commodities_of(circuit_text, network_text)
-    q = quotient(net)
-    rel = build_relations(coms, circ, budget=budget, enable_qp=enable_qp)
-    stats = SolverStats()
-    sol = quickest(q, coms, rel, stats)
-    return circ, net, coms, q, rel, sol, stats
-
-
 def test_criterion_1_worst_case_depth():
     started = time.perf_counter()
-    circ, net, coms, q, rel, sol, _ = compile_pipeline(
-        EXAMPLE_CIRCUIT, LINE4_NETWORK, enable_qp=False
-    )
+    r = compile(EXAMPLE_CIRCUIT, LINE4_NETWORK, coherence=8, quasi_parallel=False, emit=False)
     elapsed = time.perf_counter() - started
-    ok = len(coms) == 5 and e_depth(sol) == 5 and elapsed < 1.0
-    assert check_solution(q, coms, rel, sol) == []
-    report(1, "worst_case_serial_depth", ok, f"d={e_depth(sol)} in {elapsed:.3f}s")
+    ok = len(r.commodities) == 5 and e_depth(r.solution) == 5 and elapsed < 1.0
+    assert check_solution(r.quotient, r.commodities, r.relations, r.solution) == []
+    report(1, "worst_case_serial_depth", ok, f"d={e_depth(r.solution)} in {elapsed:.3f}s")
 
 
 def test_criterion_2_two_processor_grid():
@@ -105,12 +94,11 @@ def test_criterion_3_conflict_chain():
     ok = True
     detail = []
     for k in (3, 4, 5):
-        circ, net, coms = commodities_of(hub_chain(k), hub_network(k, k))
-        q = quotient(net)
-        off = build_relations(coms, circ, budget=k, enable_qp=False)
-        on = build_relations(coms, circ, budget=k, enable_qp=True)
-        d_off = e_depth(quickest(q, coms, off))
-        d_on = e_depth(quickest(q, coms, on))
+        chain, net = hub_chain(k), hub_network(k, k)
+        d_off, d_on = (
+            e_depth(compile(chain, net, coherence=k, quasi_parallel=qp, emit=False).solution)
+            for qp in (False, True)
+        )
         ok &= d_off == k and d_on == 1
         detail.append(f"k={k}: {d_off}->{d_on}")
     report(3, "chain_serial_vs_quasi_parallel", ok, ", ".join(detail))
@@ -345,8 +333,13 @@ def test_criterion_8_path_stage_depth():
 
 def test_criterion_9_end_to_end_equivalence():
     cases = [
-        ("worst_case_serial", EXAMPLE_CIRCUIT, LINE4_NETWORK, dict(enable_qp=False)),
-        ("worst_case_qp", EXAMPLE_CIRCUIT, LINE4_NETWORK, dict(budget=8)),
+        (
+            "worst_case_serial",
+            EXAMPLE_CIRCUIT,
+            LINE4_NETWORK,
+            dict(coherence=8, quasi_parallel=False),
+        ),
+        ("worst_case_qp", EXAMPLE_CIRCUIT, LINE4_NETWORK, dict(coherence=8)),
         (
             "conflict_pair",
             "qubits q1 q2 q3\ncx q1 q2\ncx q2 q3\n",
@@ -361,26 +354,25 @@ def test_criterion_9_end_to_end_equivalence():
             elink a1 a2
             elink b2 a3
             """,
-            dict(budget=2),
+            dict(coherence=2),
         ),
-        ("merged_chain", hub_chain(3), hub_network(3, 3), dict(budget=4)),
-        ("long_path", "qubits q1 q4\ncx q1 q4\n", LINE4_NETWORK, dict()),
+        ("merged_chain", hub_chain(3), hub_network(3, 3), dict(coherence=4)),
+        ("long_path", "qubits q1 q4\ncx q1 q4\n", LINE4_NETWORK, dict(coherence=8)),
         (
             "local_swaps",
             "qubits q2 q3\ncx q2 q3\n",
             TOY_NETWORK.replace("comp q1 q2", "comp q1 q2"),
-            dict(),
+            dict(coherence=8),
         ),
     ]
     ok = True
     details = []
     for name, ctext, ntext, kw in cases:
-        circ, net, coms, q, rel, sol, _ = compile_pipeline(ctext, ntext, **kw)
-        assert check_solution(q, coms, rel, sol) == []
-        sched = emit_schedule(sol, circ, coms, rel, net)
-        rep = equivalent(sched.flat(), circ, tol=TOL)
+        r = compile(ctext, ntext, **kw)
+        assert check_solution(r.quotient, r.commodities, r.relations, r.solution) == []
+        rep = equivalent(r.schedule.flat(), r.circuit, tol=TOL)
         ok &= rep.equal and rep.mode == "process"
-        details.append(f"{name}:d={e_depth(sol)}")
+        details.append(f"{name}:d={e_depth(r.solution)}")
     report(9, "end_to_end_equivalence", ok, ", ".join(details))
 
 

@@ -1,10 +1,19 @@
+import re
 import subprocess
 import sys
 
 import pytest
 
+from dqcc import cli
 from dqcc.cli import main
+from dqcc.flow import SolverStats
 from conftest import EXAMPLE_CIRCUIT, LINE4_NETWORK, hub_chain, hub_network
+from test_reuse import ONE_LINK_NETWORK, PARALLEL_CIRCUIT
+
+TWO_PROCESSORS = (
+    "processor P1 { comp q1 comm c1 }\nprocessor P2 { comp q2 comm c2 }\n"
+    "local q1 c1\nlocal q2 c2\nelink c1 c2\n"
+)
 
 
 @pytest.fixture
@@ -203,7 +212,11 @@ def test_numpy_loads_only_for_verification(files):
 
 
 @pytest.mark.parametrize(
-    "line", ["cx a", "h", "e a", "zc a", "--- step x ---", "cx a a", "e c c", "h _r0"]
+    "line",
+    [
+        "cx a", "h", "e a", "zc a", "--- step x ---", "cx a a", "e c c", "h _r0",
+        "zc a b1_1^", "xc a ^b1_1", "zc a b1_1^^b1_2", "m a -> 0", "m a -> b1^b2",
+    ],
 )
 def test_verify_rejects_malformed_physical_line(tmp_path, capsys, line):
     circ = tmp_path / "c.circ"
@@ -258,3 +271,77 @@ def test_verifier_memory_refusal_exits_4(files, capsys, monkeypatch):
     code = main(["compile", "--circuit", str(circ), "--network", str(net), "--verify"])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: memory budget 1024 B exceeded: e ")
+
+
+def test_verify_reads_a_repeated_correction_bit_as_xor(tmp_path, capsys):
+    # b^b is 0 in the XOR format: the tampered file applies no correction
+    # to q1, so it must fail where the emitted one passes.
+    circ, net, sol = tmp_path / "c.circ", tmp_path / "n.net", tmp_path / "s"
+    circ.write_text("qubits q1 q2\ncx q1 q2\n")
+    net.write_text(TWO_PROCESSORS)
+    assert main(["compile", "--circuit", str(circ), "--network", str(net),
+                 "--emit-physical", "--out", str(sol)]) == 0
+    phys = tmp_path / "s.physical"
+    text = phys.read_text()
+    tampered = re.sub(r"^zc q1 (\S+)$", r"zc q1 \1^\1", text, flags=re.M)
+    assert tampered != text
+    phys.write_text(tampered)
+    capsys.readouterr()
+    assert main(["verify", "--circuit", str(circ), "--physical", str(phys)]) == 4
+    assert "check end_to_end: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("compile", "--circuit"), ("compile", "--network"), ("verify", "--physical"),
+     ("compile", "--out")],
+)
+def test_unreadable_or_unwritable_file_exits_2(files, capsys, command, option):
+    circ, net, tmp = files
+    latin1 = tmp / "latin1.txt"
+    latin1.write_bytes("qubits q\xe9\n".encode("latin-1"))  # not UTF-8
+    given = {"--circuit": circ}
+    if command == "compile":
+        given["--network"] = net
+    else:
+        given["--physical"] = circ
+    given[option] = tmp / "missing" / "sol" if option == "--out" else latin1
+    argv = [command, *(str(a) for pair in given.items() for a in pair)]
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [("compile", "--coherence", "-1"), ("oracle", "--coherence", "-1"),
+     ("verify", "--tol", "-1"), ("verify", "--tol", "nan"),
+     ("compile", "--seed", "-1"), ("verify", "--seed", "-1"),
+     ("oracle", "--max-k", "-1"), ("oracle", "--max-d", "-1")],
+)
+def test_out_of_range_number_exits_2(files, capsys, command, option, value):
+    circ, net, tmp = files
+    second = ["--physical", circ] if command == "verify" else ["--network", net]
+    assert exit_code([command, "--circuit", circ, *second, option, value]) == 2
+    assert f"argument {option}: must be a number at least 0" in capsys.readouterr().err
+
+
+def test_compile_counts_nodes_in_the_module_stats_class(tmp_path, monkeypatch):
+    # A caller stops the search at a node budget by replacing
+    # ``cli.SolverStats`` with a subclass that raises; compile must build
+    # its counters from that name on every call.
+    class Stop(BaseException):
+        pass
+
+    class StopAtNode3(SolverStats):
+        def __setattr__(self, name, value):
+            if name == "nodes" and value == 3:
+                raise Stop()
+            object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(cli, "SolverStats", StopAtNode3)
+    circ, net = tmp_path / "c.circ", tmp_path / "n.net"
+    circ.write_text(PARALLEL_CIRCUIT)
+    net.write_text(ONE_LINK_NETWORK)
+    with pytest.raises(Stop):
+        main(["compile", "--circuit", str(circ), "--network", str(net)])

@@ -3,13 +3,10 @@ architectures and simulate every schedule that fits the register budget."""
 
 import random
 
-from dqcc.circuit import extract_commodities, layerize, parse_circuit
-from dqcc.expand import emit_schedule
-from dqcc.flow import Solution, check_solution, quickest
-from dqcc.network import parse_network, quotient
-from dqcc.relations import build_relations
+from dqcc.flow import check_solution
+from dqcc.pipeline import compile
 from dqcc.simulate import equivalent
-from conftest import LINE4_NETWORK, TOY_NETWORK, hub_network
+from conftest import LINE4_NETWORK, TOY_NETWORK, commodities_of, hub_network
 
 LINE3 = """
 processor P1 { comp q1 comm a1 b1 }
@@ -53,15 +50,10 @@ def test_quasi_parallelism_beats_serial_on_the_example():
     from dqcc.flow import brute_force_oracle, e_depth
     from conftest import EXAMPLE_CIRCUIT
 
-    net = parse_network(LINE4_NETWORK)
-    circ = layerize(parse_circuit(EXAMPLE_CIRCUIT))
-    coms = extract_commodities(circ, net.placement())
-    q = quotient(net)
-    rel = build_relations(coms, circ, budget=8, enable_qp=True)
-    sol = quickest(q, coms, rel)
-    ref = brute_force_oracle(q, coms, rel, max_k=5, max_d=5)
-    assert e_depth(sol) == e_depth(ref) < 5
-    assert sol.total_flow == ref.total_flow
+    r = compile(EXAMPLE_CIRCUIT, LINE4_NETWORK, coherence=8, quasi_parallel=True, emit=False)
+    ref = brute_force_oracle(r.quotient, r.commodities, r.relations, max_k=5, max_d=5)
+    assert e_depth(r.solution) == e_depth(ref) < 5
+    assert r.solution.total_flow == ref.total_flow
 
 
 def test_organic_instances_match_oracle():
@@ -73,23 +65,18 @@ def test_organic_instances_match_oracle():
     checked = 0
     while checked < 60:
         ntext, qs = POOL[rng.randrange(len(POOL))]
-        net = parse_network(ntext)
-        circ = layerize(parse_circuit(random_circuit(rng, qs, rng.randint(2, 7))))
-        coms = extract_commodities(circ, net.placement())
-        if not 1 <= len(coms) <= 4:
+        ctext = random_circuit(rng, qs, rng.randint(2, 7))
+        # Filter before drawing the relation options, as the seed's instances assume.
+        if not 1 <= len(commodities_of(ctext, ntext)[2]) <= 4:
             continue
-        q = quotient(net)
-        rel = build_relations(
-            coms, circ, budget=rng.choice([0, 1, 2, 4]), enable_qp=rng.random() < 0.8
-        )
-        sol = quickest(q, coms, rel)
-        assert check_solution(q, coms, rel, sol) == []
+        r = compile(ctext, ntext, rng.choice([0, 1, 2, 4]), rng.random() < 0.8, emit=False)
+        assert check_solution(r.quotient, r.commodities, r.relations, r.solution) == []
         try:
-            ref = brute_force_oracle(q, coms, rel, max_k=4, max_d=4)
+            ref = brute_force_oracle(r.quotient, r.commodities, r.relations, max_k=4, max_d=4)
         except InstanceTooLarge:
             continue
         checked += 1
-        assert (e_depth(sol), sol.total_flow) == (e_depth(ref), ref.total_flow)
+        assert (e_depth(r.solution), r.solution.total_flow) == (e_depth(ref), ref.total_flow)
 
 
 def test_random_compilations_simulate_correctly():
@@ -97,20 +84,10 @@ def test_random_compilations_simulate_correctly():
     simulated = 0
     for _ in range(70):
         ntext, qs = POOL[rng.randrange(len(POOL))]
-        net = parse_network(ntext)
-        circ = layerize(parse_circuit(random_circuit(rng, qs, rng.randint(3, 6))))
-        coms = extract_commodities(circ, net.placement())
-        q = quotient(net)
-        rel = build_relations(
-            coms,
-            circ,
-            budget=rng.choice([0, 1, 2, 4]),
-            enable_qp=rng.random() < 0.7,
-        )
-        sol = quickest(q, coms, rel) if coms else Solution(0, {}, {}, 0)
-        if coms:
-            assert check_solution(q, coms, rel, sol) == []
-        sched = emit_schedule(sol, circ, coms, rel, net)
+        ctext = random_circuit(rng, qs, rng.randint(3, 6))
+        r = compile(ctext, ntext, rng.choice([0, 1, 2, 4]), rng.random() < 0.7)
+        assert check_solution(r.quotient, r.commodities, r.relations, r.solution) == []
+        circ, sched = r.circuit, r.schedule
         flat = sched.flat()
 
         # Simulate only what the register and branch budgets allow.

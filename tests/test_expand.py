@@ -9,12 +9,12 @@ from dqcc.expand import (
     entanglement_path_fragment,
     parse_physical,
 )
-from dqcc.flow import e_depth, quickest
-from dqcc.network import links_by_edge, quotient
-from dqcc.relations import build_relations
+from dqcc.flow import e_depth
+from dqcc.network import links_by_edge
+from dqcc.pipeline import compile, prepare
 from dqcc.rewrite import ExtendedCircuit, bare_telegate, lifetime
 from dqcc.simulate import equivalent, equivalent_fragments
-from conftest import LINE4_NETWORK, commodities_of, hub_chain, hub_network
+from conftest import LINE4_NETWORK, hub_chain, hub_network
 
 
 def hops(m: int) -> list[tuple[str, str]]:
@@ -96,48 +96,35 @@ def test_emit_telegate_over_path_equals_cx(m):
     assert len(meas) == 2 * m  # 2(m-1) swap bits plus the two endpoint bits
 
 
-def compile_instance(circuit_text, network_text, budget=8, enable_qp=True):
-    circ, net, coms = commodities_of(circuit_text, network_text)
-    q = quotient(net)
-    rel = build_relations(coms, circ, budget=budget, enable_qp=enable_qp)
-    sol = quickest(q, coms, rel) if coms else None
-    from dqcc.flow import Solution
-
-    if sol is None:
-        sol = Solution(0, {}, {}, 0)
-    sched = emit_schedule(sol, circ, coms, rel, net)
-    return circ, net, coms, rel, sol, sched
-
-
 def test_schedule_respects_capacity_and_measures_everything():
-    circ, net, coms, rel, sol, sched = compile_instance(
+    r = compile(
         "qubits q1 q2 q3 q4\ncx q3 q1\ncx q3 q2\ncx q3 q4\ncx q2 q3\ncx q3 q4\n"
         .replace("cx q3 q1\n", "cx q3 q1\nh q3\n"),
         LINE4_NETWORK,
+        coherence=8,
     )
-    q = quotient(net)
-    for block in sched.blocks[: sched.e_depth]:
+    for block in r.schedule.blocks[: r.schedule.e_depth]:
         per_edge: dict = {}
         opened: set = set()
         closed: set = set()
         for g in block.gates:
             if g.kind == "e":
-                pa, pb = net.processor_of(g.qubits[0]), net.processor_of(g.qubits[1])
+                pa, pb = r.net.processor_of(g.qubits[0]), r.net.processor_of(g.qubits[1])
                 key = tuple(sorted((pa, pb)))
                 per_edge[key] = per_edge.get(key, 0) + 1
                 opened.update(g.qubits)
             elif g.kind == "m":
                 closed.add(g.qubits[0])
         for key, used in per_edge.items():
-            assert used <= q.capacity[key]
+            assert used <= r.quotient.capacity[key]
         assert opened <= closed  # every entangled qubit measured in its step
 
 
 def test_each_step_entangles_and_measures_qubits_exactly_once():
-    circ, net, coms, rel, sol, sched = compile_instance(
-        "qubits q1 q2 q3 q4\ncx q3 q1\ncx q3 q2\ncx q2 q3\ncx q3 q4\n", LINE4_NETWORK
+    r = compile(
+        "qubits q1 q2 q3 q4\ncx q3 q1\ncx q3 q2\ncx q2 q3\ncx q3 q4\n", LINE4_NETWORK, coherence=8
     )
-    for block in sched.blocks:
+    for block in r.schedule.blocks:
         entangled: dict = {}
         measured: dict = {}
         for g in block.gates:
@@ -152,7 +139,7 @@ def test_each_step_entangles_and_measures_qubits_exactly_once():
 
 
 def test_merged_step_has_two_entanglements_and_deferred_corrections():
-    circ, net, coms, rel, sol, sched = compile_instance(
+    r = compile(
         "qubits q1 q2 q3\ncx q1 q2\ncx q2 q3\n",
         """
         processor P1 { comp q1 comm a1 }
@@ -165,33 +152,31 @@ def test_merged_step_has_two_entanglements_and_deferred_corrections():
         elink a1 a2
         elink b2 a3
         """,
-        budget=2,
+        coherence=2,
     )
-    assert e_depth(sol) == 1
-    step1 = sched.blocks[0]
+    assert e_depth(r.solution) == 1
+    step1 = r.schedule.blocks[0]
     assert sum(g.kind == "e" for g in step1.gates) == 2
     assert all(g.kind not in ("px", "pz") for g in step1.gates)
-    tail = sched.blocks[1]
+    tail = r.schedule.blocks[1]
     assert tail.index == 2
     assert {g.kind for g in tail.gates} == {"px", "pz"}
-    rep = equivalent(sched.flat(), circ)
+    rep = equivalent(r.schedule.flat(), r.circuit)
     assert rep.equal
 
 
 def test_schedule_lifetime_extension_within_budget():
     budget = 2
-    circ, net, coms, rel, sol, sched = compile_instance(
-        hub_chain(3), hub_network(3, 3), budget=budget
-    )
-    assert e_depth(sol) == 1
-    table = links_by_edge(net)
+    r = compile(hub_chain(3), hub_network(3, 3), coherence=budget)
+    assert e_depth(r.solution) == 1
+    table = links_by_edge(r.net)
     base: dict[str, int] = {}
-    for com in coms:
+    for com in r.commodities:
         solo = bare_telegate(com)
         base[com.index] = None  # placeholder, lifetimes keyed by comm qubit below
     # Reconstruct per-qubit baselines from the emitted single-hop pattern:
     # control-side communication qubits live 1 layer alone, target-side 2.
-    block = sched.blocks[0]
+    block = r.schedule.blocks[0]
     gates = block.gates
     ctrl_side = {g.qubits[1] for g in gates if g.kind == "cx" and g.qubits[0] == "hub"}
     for g in gates:
@@ -205,7 +190,7 @@ def test_schedule_with_local_swaps_stays_equivalent():
     # RCX(q2, q3) over the toy architecture binds the first link (c1, c3):
     # neither endpoint computation qubit is adjacent to its bound
     # communication qubit, so naive swap chains are emitted.
-    circ, net, coms, rel, sol, sched = compile_instance(
+    r = compile(
         "qubits q2 q3\ncx q2 q3\n",
         """
         processor P1 { comp q1 q2 comm c1 c2 }
@@ -222,12 +207,12 @@ def test_schedule_with_local_swaps_stays_equivalent():
         elink c1 c3
         elink c2 c4
         elink c5 c6
-        """.replace("comp q1 q2", "comp q1 q2")
-        ,
+        """.replace("comp q1 q2", "comp q1 q2"),
+        coherence=8,
     )
-    flat = sched.flat()
+    flat = r.schedule.flat()
     assert any(g.kind == "cx" and set(g.qubits) == {"q1", "q2"} for g in flat.gates)
-    rep = equivalent(flat, circ)
+    rep = equivalent(flat, r.circuit)
     assert rep.equal, rep.max_deviation
 
 
@@ -248,55 +233,50 @@ def test_merged_step_with_multi_hop_path():
     elink b2 c1
     elink b3 c2
     """
-    circ, net, coms, rel, sol, sched = compile_instance(
-        "qubits a b c\ncx a c\ncx c b\n", net_text, budget=2
-    )
-    assert e_depth(sol) == 1
-    assert len(sol.paths[1]) == 3  # routed through the middle processor
-    step1 = sched.blocks[0]
+    r = compile("qubits a b c\ncx a c\ncx c b\n", net_text, coherence=2)
+    assert e_depth(r.solution) == 1
+    assert len(r.solution.paths[1]) == 3  # routed through the middle processor
+    step1 = r.schedule.blocks[0]
     assert sum(g.kind == "e" for g in step1.gates) == 3  # two hops plus one link
-    rep = equivalent(sched.flat(), circ)
+    rep = equivalent(r.schedule.flat(), r.circuit)
     assert rep.equal, rep.max_deviation
 
 
 def test_zero_remote_schedule_is_the_circuit_itself():
-    circ, net, coms, rel, sol, sched = compile_instance(
+    r = compile(
         "qubits q1 q2\nh q1\ncx q1 q2\nt q2\n",
         "processor P1 { comp q1 q2 comm c1 }\nlocal q1 q2\nlocal q1 c1\n"
         "processor P2 { comp q9 comm c9 }\nlocal q9 c9\nelink c1 c9\n",
+        coherence=8,
     )
-    assert sched.e_depth == 0
-    assert [str(g) for b in sched.blocks for g in b.gates] == ["h q1", "cx q1 q2", "t q2"]
-    rep = equivalent(sched.flat(), circ)
+    assert r.schedule.e_depth == 0
+    assert [str(g) for b in r.schedule.blocks for g in b.gates] == ["h q1", "cx q1 q2", "t q2"]
+    rep = equivalent(r.schedule.flat(), r.circuit)
     assert rep.equal
 
 
 def test_binding_uses_lowest_declared_link_first():
-    circ, net, coms, rel, sol, sched = compile_instance(
-        hub_chain(2), hub_network(2, 2), budget=0, enable_qp=False
-    )
-    step1 = sched.blocks[0].gates
+    r = compile(hub_chain(2), hub_network(2, 2), coherence=0, quasi_parallel=False)
+    step1 = r.schedule.blocks[0].gates
     first_e = next(g for g in step1 if g.kind == "e")
     assert set(first_e.qubits) == {"ca0", "cb0"}
 
 
 def test_render_and_parse_round_trip():
-    circ, net, coms, rel, sol, sched = compile_instance(hub_chain(2), hub_network(2, 2))
-    text = sched.render()
+    r = compile(hub_chain(2), hub_network(2, 2), coherence=8)
+    text = r.schedule.render()
     back = parse_physical(text)
-    assert back.e_depth == sched.e_depth
+    assert back.e_depth == r.schedule.e_depth
     assert [str(g) for b in back.blocks for g in b.gates] == [
-        str(g) for b in sched.blocks for g in b.gates
+        str(g) for b in r.schedule.blocks for g in b.gates
     ]
-    assert equivalent(back.flat(), circ).equal
+    assert equivalent(back.flat(), r.circuit).equal
 
 
 def test_bit_names_carry_step_prefix():
-    circ, net, coms, rel, sol, sched = compile_instance(
-        hub_chain(2), hub_network(2, 1), budget=0, enable_qp=False
-    )
-    assert e_depth(sol) == 2
-    for block in sched.blocks[:2]:
+    r = compile(hub_chain(2), hub_network(2, 1), coherence=0, quasi_parallel=False)
+    assert e_depth(r.solution) == 2
+    for block in r.schedule.blocks[:2]:
         bits = [g.bit for g in block.gates if g.kind == "m"]
         assert bits and all(b.startswith(f"b{block.index}_") for b in bits)
 
@@ -310,17 +290,14 @@ def test_local_gate_in_two_steps_cones_is_emitted_once():
     network += "".join(f"local {c} {m}\n" for c in "abc" for m in "pq")
     network += "".join(f"local {c} {m}\n" for c in "xyz" for m in "rs")
     network += "elink p r\nelink q s\n"
-    circ, net, coms = commodities_of(
-        "qubits a b c x y z\ncx a x\nt c\ncx c z\nt b\nh b\ncx b x\ncx b y\n", network
-    )
-    rel = build_relations(coms, circ, budget=4)
+    f = prepare("qubits a b c x y z\ncx a x\nt c\ncx c z\nt b\nh b\ncx b x\ncx b y\n", network)
     from dqcc.flow import Solution, check_solution
 
     sol = Solution(2, {1: 1, 3: 1, 2: 2, 4: 2}, {i: ("P2", "P1") for i in range(1, 5)}, 4)
-    assert check_solution(quotient(net), coms, rel, sol) == [
+    assert check_solution(f.quotient, f.commodities, f.relations, sol) == [
         "3 completes before its sharable predecessor 2"
     ]
-    sched = emit_schedule(sol, circ, coms, rel, net)
+    sched = emit_schedule(sol, f.circuit, f.commodities, f.relations, f.net)
     assert [str(g) for b in sched.blocks for g in b.gates].count("h b") == 1
-    rep = equivalent(sched.flat(), circ)
+    rep = equivalent(sched.flat(), f.circuit)
     assert rep.equal, rep.max_deviation

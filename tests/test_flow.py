@@ -15,9 +15,9 @@ from dqcc.flow import (
     quickest,
     solve_fixed_horizon,
 )
-from dqcc.network import QuotientGraph, quotient
-from dqcc.relations import build_relations
-from conftest import commodities_of, make_relations
+from dqcc.network import QuotientGraph
+from dqcc.pipeline import compile
+from conftest import make_relations
 
 
 def two_proc(capacity: int) -> QuotientGraph:
@@ -257,10 +257,7 @@ h q1_1
 cx q1_1 q1_0
 t q1_1
 """
-    circ, net, coms = commodities_of(circuit, ring_network(4))
-    q = quotient(net)
-    rel = build_relations(coms, circ, budget=4)
-    sol = quickest(q, coms, rel)
-    ref = brute_force_oracle(q, coms, rel)
-    assert (e_depth(sol), sol.total_flow) == (e_depth(ref), ref.total_flow) == (2, 6)
-    assert check_solution(q, coms, rel, sol) == []
+    r = compile(circuit, ring_network(4), coherence=4, emit=False)
+    ref = brute_force_oracle(r.quotient, r.commodities, r.relations)
+    assert (e_depth(r.solution), r.solution.total_flow) == (e_depth(ref), ref.total_flow) == (2, 6)
+    assert check_solution(r.quotient, r.commodities, r.relations, r.solution) == []

@@ -1,8 +1,8 @@
 import random
 
 from dqcc.circuit import extract_commodities, layerize, parse_circuit
-from dqcc.flow import e_depth, quickest
-from dqcc.network import quotient
+from dqcc.flow import e_depth
+from dqcc.pipeline import compile
 from dqcc.relations import build_relations
 from dqcc.rewrite import PredicateStats
 from conftest import commodities_of, hub_chain, hub_network
@@ -69,12 +69,11 @@ def test_disabling_qp_never_lowers_depth():
         k = rng.randint(2, 4)
         chain = hub_chain(k)
         cap = rng.randint(1, k)
-        circ, net, coms = commodities_of(chain, hub_network(k, cap))
-        q = quotient(net)
-        on = build_relations(coms, circ, budget=6, enable_qp=True)
-        off = build_relations(coms, circ, budget=6, enable_qp=False)
-        d_on = e_depth(quickest(q, coms, on))
-        d_off = e_depth(quickest(q, coms, off))
+        net = hub_network(k, cap)
+        d_on, d_off = (
+            e_depth(compile(chain, net, coherence=6, quasi_parallel=qp, emit=False).solution)
+            for qp in (True, False)
+        )
         assert d_on <= d_off
 
 

@@ -6,9 +6,8 @@ import sys
 
 from dqcc import cli, flow
 from dqcc.flow import SolverStats, quickest, solve_fixed_horizon
-from dqcc.network import quotient
-from dqcc.relations import build_relations
-from conftest import EXAMPLE_CIRCUIT, LINE4_NETWORK, commodities_of
+from dqcc.pipeline import prepare
+from conftest import EXAMPLE_CIRCUIT, LINE4_NETWORK
 
 # Four disjoint remote cx in one layer over a single link: nothing orders
 # them, but only one fits per step, so the search probes horizons 2 and 3
@@ -67,9 +66,8 @@ def test_parser_is_built_once():
 
 
 def test_precedence_built_once_per_quickest(monkeypatch):
-    circ, net, coms = commodities_of(PARALLEL_CIRCUIT, ONE_LINK_NETWORK)
-    q = quotient(net)
-    rel = build_relations(coms, circ, budget=4)
+    f = prepare(PARALLEL_CIRCUIT, ONE_LINK_NETWORK, coherence=4)
+    q, coms, rel = f.quotient, f.commodities, f.relations
     calls = []
     real = flow._precedence
 
