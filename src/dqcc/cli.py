@@ -69,12 +69,10 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--verify", action="store_true", help="simulate the expansion against the input")
     comp.add_argument("--out", help="write the solution dump here (physical goes to <out>.physical)")
     comp.add_argument("--dump-relations", action="store_true", help="print one line per commodity pair")
-    comp.add_argument("--seed", type=_at_least_0(int), default=7, help="seed for sampled verification")
 
     ver = sub.add_parser("verify", help="re-check a previously emitted circuit pair")
     ver.add_argument("--circuit", required=True)
     ver.add_argument("--physical", required=True)
-    ver.add_argument("--seed", type=_at_least_0(int), default=7)
     ver.add_argument(
         "--tol",
         type=_at_least_0(float),
@@ -150,7 +148,7 @@ def _cmd_compile(args) -> int:
         from .simulate import SimulationError, equivalent
 
         try:
-            rep = equivalent(result.schedule.flat(), result.circuit, seed=args.seed)
+            rep = equivalent(result.schedule.flat(), result.circuit)
         except SimulationError as exc:
             return _error(exc, EXIT_VERIFY)
         report += [
@@ -158,7 +156,6 @@ def _cmd_compile(args) -> int:
             f"verify_mode={rep.mode}",
             f"verify_peak_branches={rep.peak_branches}",
             f"verify_max_dev={rep.max_deviation:.3e}",
-            f"verify_seed={args.seed}",
         ]
         verdict_lines.append(
             f"check end_to_end: {'PASS' if rep.equal else 'FAIL'} (max-dev={rep.max_deviation:.3e})"
@@ -199,11 +196,11 @@ def _cmd_verify(args) -> int:
     except (CircuitError, EmitError) as exc:
         return _error(exc, EXIT_PARSE)
     try:
-        rep = equivalent(physical.flat(), logical, tol=args.tol, seed=args.seed)
+        rep = equivalent(physical.flat(), logical, tol=args.tol)
     except SimulationError as exc:
         return _error(exc, EXIT_VERIFY)
     print(f"check end_to_end: {'PASS' if rep.equal else 'FAIL'} (max-dev={rep.max_deviation:.3e})")
-    print(f"check mode: {rep.mode} seed={args.seed}")
+    print(f"check mode: {rep.mode}")
     return EXIT_OK if rep.equal else EXIT_VERIFY
 
 

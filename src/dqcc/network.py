@@ -127,6 +127,7 @@ def parse_network(text: str) -> NetworkGraph:
     links: list[Edge] = []
     comp_of: dict[str, str] = {}
     comm_of: dict[str, str] = {}
+    link_line: dict[str, int] = {}  # communication qubit -> line of its link
 
     def owner(node: str) -> str:
         if node in comp_of:
@@ -187,6 +188,15 @@ def parse_network(text: str) -> NetworkGraph:
                     )
             if owner(a) == owner(b):
                 raise NetworkError(f"line {lineno}: entanglement link inside one processor")
+            # One link per communication qubit: two links on one qubit would
+            # let two operations of a step entangle it at once.
+            for n in (a, b):
+                if n in link_line:
+                    raise NetworkError(
+                        f"line {lineno}: communication qubit {n!r} already ends the link "
+                        f"on line {link_line[n]}"
+                    )
+                link_line[n] = lineno
             links.append((a, b))
         else:
             raise NetworkError(f"line {lineno}: unknown directive {head!r}")

@@ -5,6 +5,7 @@ import pytest
 from dqcc.circuit import Commodity, extract_commodities, layerize, parse_circuit
 from dqcc.network import parse_network, quotient
 from dqcc.relations import RelationTable
+from dqcc.rewrite import ExtendedCircuit, cx, e, h, m, px, pz
 
 # Four-qubit, nine-gate example circuit: five cx, layered depth 7, every
 # two-qubit gate touching q3.
@@ -122,3 +123,16 @@ def commodities_of(circuit_text: str, network_text: str):
     net = parse_network(network_text)
     circ = layerize(parse_circuit(circuit_text))
     return circ, net, extract_commodities(circ, net.placement())
+
+
+# Three telegates of cx qa qb whose Bell pairs all open before the first is
+# used, as emission opens every pair of a step up front.
+_TELEGATES = [
+    (e(f"c{i}", f"d{i}"), cx("qa", f"c{i}"), cx(f"d{i}", "qb"), h(f"d{i}"),
+     m(f"c{i}", f"x{i}"), m(f"d{i}", f"y{i}"), pz("qa", frozenset({f"y{i}"})),
+     px("qb", frozenset({f"x{i}"})))
+    for i in range(3)
+]
+PAIRS_UP_FRONT = ExtendedCircuit(
+    ("qa", "qb"), tuple(t[0] for t in _TELEGATES) + tuple(g for t in _TELEGATES for g in t[1:])
+)

@@ -161,14 +161,13 @@ def test_oracle_instance_too_large_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-def test_oracle_rejects_seed(tmp_path, capsys):
-    # Only sampled verification reads a seed, and the oracle never verifies.
-    circ = tmp_path / "c.circ"
-    net = tmp_path / "n.net"
-    circ.write_text(hub_chain(3))
-    net.write_text(hub_network(3, 3))
-    assert exit_code(["oracle", "--circuit", circ, "--network", net, "--seed", "3"]) == 2
-    assert "--seed" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["compile", "verify", "oracle"])
+def test_no_command_takes_a_seed(files, capsys, command):
+    # The verifier has one mode, the process check, and nothing in it is random.
+    circ, net, tmp = files
+    second = ["--physical", circ] if command == "verify" else ["--network", net]
+    assert exit_code([command, "--circuit", circ, *second, "--seed", "3"]) == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 def test_dump_relations_flag(files, capsys):
@@ -291,6 +290,33 @@ def test_verify_reads_a_repeated_correction_bit_as_xor(tmp_path, capsys):
     assert "check end_to_end: FAIL" in capsys.readouterr().out
 
 
+def test_verify_rejects_a_physical_file_over_other_qubits(tmp_path, capsys):
+    circ, net, sol = tmp_path / "c.circ", tmp_path / "n.net", tmp_path / "s"
+    circ.write_text("qubits q1 q2\ncx q1 q2\n")
+    net.write_text(TWO_PROCESSORS)
+    assert main(["compile", "--circuit", str(circ), "--network", str(net),
+                 "--emit-physical", "--out", str(sol)]) == 0
+    phys = tmp_path / "s.physical"
+    text = phys.read_text()
+    assert text.startswith("qubits q1 q2\n")
+    phys.write_text(text.replace("qubits q1 q2\n", "qubits zz\n", 1))
+    capsys.readouterr()
+    assert main(["verify", "--circuit", str(circ), "--physical", str(phys)]) == 4
+    assert capsys.readouterr().err == (
+        "error: physical circuit declares qubits 'zz', the logical circuit 'q1 q2'\n"
+    )
+
+
+def test_second_link_on_a_communication_qubit_exits_2(tmp_path, capsys):
+    circ, net = tmp_path / "c.circ", tmp_path / "n.net"
+    circ.write_text("qubits q1 q2\ncx q1 q2\n")
+    net.write_text(TWO_PROCESSORS + "elink c1 c2\n")
+    assert exit_code(["compile", "--circuit", circ, "--network", net, "--verify"]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 6: communication qubit 'c1' already ends the link on line 5\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, option",
     [("compile", "--circuit"), ("compile", "--network"), ("verify", "--physical"),
@@ -316,7 +342,6 @@ def test_unreadable_or_unwritable_file_exits_2(files, capsys, command, option):
     "command, option, value",
     [("compile", "--coherence", "-1"), ("oracle", "--coherence", "-1"),
      ("verify", "--tol", "-1"), ("verify", "--tol", "nan"),
-     ("compile", "--seed", "-1"), ("verify", "--seed", "-1"),
      ("oracle", "--max-k", "-1"), ("oracle", "--max-d", "-1")],
 )
 def test_out_of_range_number_exits_2(files, capsys, command, option, value):

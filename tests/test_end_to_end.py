@@ -1,5 +1,5 @@
 """Randomized whole-pipeline check: compile random circuits over a pool of
-architectures and simulate every schedule that fits the register budget."""
+architectures and simulate every schedule."""
 
 import random
 
@@ -81,26 +81,10 @@ def test_organic_instances_match_oracle():
 
 def test_random_compilations_simulate_correctly():
     rng = random.Random(99)
-    simulated = 0
     for _ in range(70):
         ntext, qs = POOL[rng.randrange(len(POOL))]
         ctext = random_circuit(rng, qs, rng.randint(3, 6))
         r = compile(ctext, ntext, rng.choice([0, 1, 2, 4]), rng.random() < 0.7)
         assert check_solution(r.quotient, r.commodities, r.relations, r.solution) == []
-        circ, sched = r.circuit, r.schedule
-        flat = sched.flat()
-
-        # Simulate only what the register and branch budgets allow.
-        measurements = sum(g.kind == "m" for g in flat.gates)
-        peak_step = max(
-            (2 * sum(g.kind == "e" for g in b.gates) for b in sched.blocks), default=0
-        )
-        touched = {w for g in flat.gates for w in g.qubits}
-        created = {w for g in flat.gates if g.kind == "e" for w in g.qubits}
-        extras = len(touched - created - set(circ.qubits))
-        if measurements > 12 or 2 * len(circ.qubits) + extras + peak_step > 14:
-            continue
-        simulated += 1
-        rep = equivalent(flat, circ)
-        assert rep.equal, (ntext, circ.to_text(), rep.max_deviation)
-    assert simulated >= 40  # the budget guard must not hollow the test out
+        rep = equivalent(r.schedule.flat(), r.circuit)
+        assert rep.equal, (ntext, r.circuit.to_text(), rep.max_deviation)

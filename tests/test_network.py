@@ -31,6 +31,16 @@ def test_parse_rejects_intra_processor_link():
         parse_network(text)
 
 
+@pytest.mark.parametrize(
+    "extra, qubit", [("elink c1 c6", "c1"), ("elink c1 c3", "c1"), ("elink c3 c1", "c3")]
+)
+def test_parse_rejects_a_second_link_on_a_communication_qubit(extra, qubit):
+    # c1 already ends the link c1-c3 on line 14; the last two repeat it.
+    message = f"line 17: communication qubit {qubit!r} already ends the link on line 14"
+    with pytest.raises(NetworkError, match=f"^{message}$"):
+        parse_network(TOY_NETWORK + extra + "\n")
+
+
 def test_parse_rejects_disconnected():
     text = """
     processor P1 { comp q1 comm c1 }

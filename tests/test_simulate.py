@@ -15,6 +15,7 @@ from dqcc.simulate import (
     equivalent_fragments,
     run,
 )
+from conftest import PAIRS_UP_FRONT
 
 F = frozenset
 
@@ -135,19 +136,17 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
     assert len(run(circuit)) == 2  # the px reads the last of each bit
 
 
-def test_qubit_budget_enforced():
-    gates = tuple(e(f"a{i}", f"b{i}") for i in range(8))
-    with pytest.raises(SimulationError, match="budget"):
-        run(ExtendedCircuit((), gates))
-
-
 # Two measurements leave four branches with one state. b1 is read by no
 # gate, so they merge into two at once; b0 keeps those apart until px
-# reads it. With 13 computation qubits one more pair after e(a, b) exceeds
-# the budget.
+# reads it, and the px leaves r in |0> in one and |1> in the other. No gate
+# uses the pairs of e(a, b) or an added e(c, d), so both run last, on the
+# two branches of 11 computation qubits: 2 rows of 2**11 amplitudes
+# (64 KiB) grow to 2 rows of 2**13 (256 KiB), which e(c, d) would make
+# four times wider and copy, 2 MiB in all.
 WIDE = ("q", "r") + tuple(f"w{i}" for i in range(11))
 SPLIT = (h("q"), m("q", "b0"), h("w0"), m("w0", "b1"), e("a", "b"))
 JOIN = (px("r", F({"b0"})),)
+BUDGET = 2**21 - 1
 
 
 def test_split_run_holds_two_branches():
@@ -160,10 +159,11 @@ def test_split_run_holds_two_branches():
         (px("r", F({"nope"})), "gate xc r nope reads unmeasured bit 'nope'"),
         (t("q"), "gate t q on consumed or unknown qubit 'q'"),
         (e("c", "r"), "entangling gate on live qubit 'r'"),
-        (e("c", "d"), "qubit budget 14 exceeded"),
+        (e("c", "d"), f"memory budget {BUDGET} B exceeded: e c d needs {BUDGET + 1} B"),
     ],
 )
-def test_errors_fire_with_two_branches_live(gate, message):
+def test_errors_fire_with_two_branches_live(gate, message, monkeypatch):
+    monkeypatch.setattr(simulate, "MEMORY_BUDGET", BUDGET)
     with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
         run(ExtendedCircuit(WIDE, SPLIT + (gate,) + JOIN))
 
@@ -219,33 +219,47 @@ def test_swap_fragment_equals_bare_entanglement():
 
 
 def test_sampled_fallback_mode():
-    # Eight computation qubits push the process check past the budget.
+    # Eight computation qubits once pushed the check onto a sampled
+    # fallback; the process check now covers them.
     names = tuple(f"q{i}" for i in range(8))
     ident_a = ExtendedCircuit(names, (h("q0"), h("q0")))
     ident_b = ExtendedCircuit(names, ())
-    rep = equivalent_fragments(ident_a, ident_b, seed=11)
-    assert rep.equal and rep.mode == "sampled"
+    rep = equivalent_fragments(ident_a, ident_b)
+    assert rep.equal and rep.mode == "process"
 
 
 def test_sampled_mode_catches_a_phase_only_difference():
     # A basis input only picks up a phase under t, which the output
-    # ensemble cannot see: the random inputs must catch it.
+    # ensemble cannot see; the entangled reference register can.
     names = tuple(f"q{i}" for i in range(8))
     rep = equivalent_fragments(ExtendedCircuit(names, (t("q3"),)), ExtendedCircuit(names, ()))
-    assert rep.mode == "sampled"
+    assert rep.mode == "process"
     assert not rep.equal and rep.max_deviation > 0.25
 
 
-def test_sampled_basis_inputs_do_not_pile_up():
-    # 256 basis inputs of 256 amplitudes: 1 MiB in all, against 256 MiB if
-    # each input kept a whole identity matrix alive.
-    names = tuple(f"q{i}" for i in range(8))
-    ident = ExtendedCircuit(names, (h("q0"), h("q0")))
+def test_idle_program_qubits_stay_out_of_the_check():
+    # 20 declared qubits, 2 in use: the register holds 2 program qubits,
+    # their 2 references and 2 communication qubits, not 2**40 amplitudes.
+    names = [f"q{i}" for i in range(20)]
+    logical = parse_circuit(f"qubits {' '.join(names)}\ncx q0 q1\n")
+    gates = telegate("q0", "q1", "c1", "c2", "b1", "b2")
     tracemalloc.start()
     try:
-        rep = equivalent_fragments(ident, ExtendedCircuit(names, ()), seed=11)
+        rep = equivalent(ExtendedCircuit(tuple(names), gates), logical)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.equal and rep.mode == "sampled"
-    assert peak < 16 * 2**20
+    assert rep.equal and peak < 2**20
+    # A gate on an idle qubit brings it into the check.
+    rep = equivalent(ExtendedCircuit(tuple(names), gates + (h("q7"),)), logical)
+    assert not rep.equal
+
+
+def test_pairs_opened_up_front_are_held_only_while_used(monkeypatch):
+    # With its references the register has 4 qubits (16 amplitudes, one row
+    # between telegates). Each pair opened just before use needs
+    # 2 * 4 * 16 * 16 B = 2 KiB; the third pair opened up front would need
+    # 32 KiB.
+    monkeypatch.setattr(simulate, "MEMORY_BUDGET", 2048)
+    logical = parse_circuit("qubits qa qb\ncx qa qb\ncx qa qb\ncx qa qb\n")
+    assert equivalent(PAIRS_UP_FRONT, logical).equal

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dqcc.rewrite import ExtendedCircuit, cx, e, h, m, px, pz, t
 from dqcc.simulate import run
+from conftest import PAIRS_UP_FRONT
 
 F = frozenset
 S = np.sqrt(0.5)
@@ -118,6 +119,7 @@ READS = ExtendedCircuit(
           suppress_health_check=[HealthCheck.too_slow])
 @given(circuits(), st.integers(0, 2**32 - 1))
 @example(READS, 0)
+@example(PAIRS_UP_FRONT, 0)
 def test_merged_run_keeps_the_ensemble(circuit, seed):
     dim = 2 ** len(circuit.comp_qubits)
     rng = np.random.default_rng(seed)
