@@ -1,16 +1,18 @@
-"""Exact fixed-horizon integer multi-commodity flow and the quickest driver.
+"""Exact quickest integer multi-commodity flow over time.
 
 Each remote operation is one unit of demand routed from its target
 processor to its control processor within a single time step. The solver
 enumerates completion-step assignments under the precedence constraints,
 routes every step's operations over simple paths under the per-step edge
-capacities, and minimizes total flow by branch and bound. A brute-force
-oracle and an independent constraint checker back the tests.
+capacities, and minimizes the E-depth, then the total flow, by one branch
+and bound. A brute-force oracle and an independent constraint checker back
+the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .circuit import Commodity
@@ -89,7 +91,7 @@ def _precedence(
 
 
 class _Router:
-    """Per-compile state every probe of one ``quickest`` call shares.
+    """Per-compile state of the search, built once per ``quickest`` call.
 
     Holds the precedence lists, each commodity's simple paths with their
     edge keys (computed once per processor pair), and the minimum-total-
@@ -163,69 +165,79 @@ def solve_fixed_horizon(
     relations: RelationTable,
     d: int,
     stats: SolverStats | None = None,
-    router: _Router | None = None,
-    first_feasible: bool = False,
 ) -> Solution | None:
-    """Minimum-total-flow schedule within horizon d, or None if infeasible.
+    """Quickest schedule within horizon d, or None if infeasible: the
+    smallest E-depth, then the least total flow, then the lexicographically
+    smallest step vector, then the path enumeration order.
 
     Completion steps are searched depth first in commodity order, smallest
-    step first. Commodity i ranges over [head(i), d - tail(i)]: head(i) is
-    the lowest step its placed predecessors allow, tail(i) the longest
-    chain of successors that must complete in later steps. Each step's
-    member set is routed exactly as it fills; a step whose set cannot be
-    routed is skipped, since no larger set can be routed either. Branch and
-    bound prunes on the routed cost of every partial step plus the
-    shortest-path distance of each commodity not yet placed. Among
-    minimum-flow schedules the lexicographically smallest step vector wins,
-    then the path enumeration order.
-
-    With ``first_feasible`` the search returns the first complete, routable
-    assignment instead: a feasibility probe whose flow is not minimal.
+    step first, against an incumbent (D, F) that starts at (d, infinity).
+    Commodity i ranges over [head(i), D - tail(i)]: head(i) is the lowest
+    step its placed predecessors allow, tail(i) the longest chain of
+    successors that must complete in later steps, so a partial schedule
+    forces the depth max(tau[j] + tail[j]) over its placed commodities.
+    Each step's member set is routed exactly as it fills; a step whose set
+    cannot be routed is skipped, since no larger set can be routed either.
+    A partial schedule that forces depth D is pruned on its routed flow
+    plus the shortest-path distance of each commodity not yet placed, and
+    one forcing more than D is abandoned, so every leaf reached beats the
+    incumbent. Step vectors are walked in lexicographic order, so the
+    first leaf at the optimum is the canonical one. The search stops early
+    at depth 1 + max(tail) with the shortest-path flow, which nothing beats.
     """
     if d < 1:
         raise ValueError("horizon must be positive")
     stats = stats if stats is not None else SolverStats()
-    router = router if router is not None else _Router(q, commodities, relations, stats)
     k = len(commodities)
     if k == 0:
         return Solution(0, {}, {}, 0)
+    stats.invocations += 1
+    router = _Router(q, commodities, relations, stats)
     for c in commodities:
         if not router.paths[c.index]:
             return None
     preds, tail, dist = router.preds, router.tail, router.dist
-    floor = sum(dist[c.index] for c in commodities)
+    floor = sum(dist.values())
+    ideal = (1 + max(tail.values()), floor)
 
-    best: list = [None]
+    best: Solution | None = None
+    depth, limit = d, math.inf  # the incumbent (D, F) every leaf must beat
     tau: dict[int, int] = {}
     members: dict[int, tuple[int, ...]] = {}  # step -> commodities placed in it
     cost: dict[int, int] = {}  # step -> routed flow of its members
 
-    def assign(i: int, flow: int, rest: int) -> bool:
+    def assign(i: int, flow: int, rest: int, forced: int) -> bool:
         """Place commodities i..k given the routed ``flow`` of the partial
-        steps and the distance ``rest`` of i..k; True stops the search."""
+        steps, the distance ``rest`` of i..k and the depth ``forced`` by
+        1..i-1; True stops the search."""
+        nonlocal best, depth, limit
         stats.nodes += 1
         if i > k:
             routed: dict[int, tuple[str, ...]] = {}
             for step in sorted(members):
                 routed.update(router.route(members[step])[1])
-            best[0] = Solution(d, dict(tau), routed, flow)
-            return first_feasible or flow == floor
+            best = Solution(forced, dict(tau), routed, flow)
+            depth, limit = forced, flow
+            return (forced, flow) == ideal
         rest -= dist[i]
         head = 1
         for j, gap in preds[i]:
             if tau[j] + gap > head:
                 head = tau[j] + gap
-        for step in range(head, d - tail[i] + 1):
+        for step in range(head, depth - tail[i] + 1):
+            now = step + tail[i] if step + tail[i] > forced else forced
+            if now > depth:  # an improved incumbent cut this branch off
+                return False
             before, prior = members.get(step, ()), cost.get(step, 0)
             res = router.route(before + (i,))
             if res is None:
                 continue
             step_flow = flow - prior + res[0]
-            if best[0] is not None and step_flow + rest >= best[0].total_flow:
+            if now == depth and step_flow + rest >= limit:
                 continue
             tau[i] = step
             members[step], cost[step] = before + (i,), res[0]
-            done = assign(i + 1, step_flow, rest)
+            done = assign(i + 1, step_flow, rest, now)
             del tau[i]
             if before:
                 members[step], cost[step] = before, prior
@@ -235,11 +247,10 @@ def solve_fixed_horizon(
                 return True
         return False
 
-    assign(1, 0, floor)
-    sol = best[0]
-    if sol is not None and sol.total_flow < floor:
+    assign(1, 0, floor, 0)
+    if best is not None and best.total_flow < floor:
         raise RuntimeError("flow fell below the shortest-path bound")
-    return sol
+    return best
 
 
 def quickest(
@@ -248,35 +259,13 @@ def quickest(
     relations: RelationTable,
     stats: SolverStats | None = None,
 ) -> Solution:
-    """Smallest feasible horizon by binary search, then its minimum-flow
-    schedule.
-
-    The serial horizon k is always feasible on a connected architecture and
-    is never probed; no horizon below 1 + the longest chain of precedences
-    that cannot share a step is feasible. Feasibility probes
-    (``first_feasible``) bisect the horizons between the two, and one
-    minimum-total-flow solve runs at the smallest feasible one: at most
-    ceil(log2 k) + 1 solver invocations in all. One ``_Router`` serves them
-    all, so the precedence lists, the simple paths and the routing memo are
-    built once per call.
-    """
-    stats = stats if stats is not None else SolverStats()
-    k = len(commodities)
-    if k == 0:
+    """The quickest schedule: ``solve_fixed_horizon`` at the serial horizon
+    k, which is always feasible on a connected architecture. One search
+    ordered by (E-depth, flow) replaces the paper's binary search over the
+    horizon and finds the same optimum and the same canonical schedule."""
+    if not commodities:
         return Solution(0, {}, {}, 0)
-    router = _Router(q, commodities, relations, stats)
-    lo, hi = 1 + max(router.tail.values()), k - 1
-    d = k
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        stats.invocations += 1
-        probe = solve_fixed_horizon(q, commodities, relations, mid, stats, router, first_feasible=True)
-        if probe is not None:
-            d, hi = mid, mid - 1
-        else:
-            lo = mid + 1
-    stats.invocations += 1
-    found = solve_fixed_horizon(q, commodities, relations, d, stats, router)
+    found = solve_fixed_horizon(q, commodities, relations, len(commodities), stats)
     if found is None:
         raise NoSolutionError("no feasible schedule even at the serial horizon")
     return found

@@ -337,6 +337,8 @@ def _surviving(register: tuple[str, ...], gates: tuple[EGate, ...]) -> tuple[str
         if g.kind == "e":
             alive.extend(g.qubits)
         elif g.kind == "m":
+            if g.qubits[0] not in alive:
+                raise SimulationError(f"gate {g} on consumed or unknown qubit {g.qubits[0]!r}")
             alive.remove(g.qubits[0])
     return tuple(alive)
 

@@ -272,6 +272,14 @@ def test_verifier_memory_refusal_exits_4(files, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: memory budget 1024 B exceeded: e ")
 
 
+def test_verify_rejects_a_second_measurement_of_one_qubit(tmp_path, capsys):
+    circ, phys = tmp_path / "c.circ", tmp_path / "c.physical"
+    circ.write_text("qubits q1 q2\ncx q1 q2\n")
+    phys.write_text("qubits q1 q2\nm q1 -> a\nm q1 -> b\n")
+    assert main(["verify", "--circuit", str(circ), "--physical", str(phys)]) == 4
+    assert capsys.readouterr().err == "error: gate m q1 -> b on consumed or unknown qubit 'q1'\n"
+
+
 def test_verify_reads_a_repeated_correction_bit_as_xor(tmp_path, capsys):
     # b^b is 0 in the XOR format: the tampered file applies no correction
     # to q1, so it must fail where the emitted one passes.

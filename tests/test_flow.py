@@ -59,6 +59,24 @@ def test_bottleneck_two_commodities():
         assert path == ("P3", "P2", "P1")
 
 
+def test_horizon_is_an_upper_bound_not_a_target():
+    # Two same-layer operations between P3 and P1 on a triangle of unit
+    # links: one step routes them over P3-P1 and P3-P2-P1 (flow 3), two
+    # steps over P3-P1 twice (flow 2). A horizon of 2 still returns the
+    # quicker schedule.
+    q = QuotientGraph(
+        ("P1", "P2", "P3"), {("P1", "P2"): 1, ("P1", "P3"): 1, ("P2", "P3"): 1}
+    )
+    coms = [
+        Commodity(1, "P1", "P3", "x1", "y1", 0),
+        Commodity(2, "P1", "P3", "x2", "y2", 0),
+    ]
+    rel = make_relations(coms)
+    sol = solve_fixed_horizon(q, coms, rel, 2)
+    assert (sol.d, e_depth(sol), sol.total_flow) == (1, 1, 3)
+    assert sol == quickest(q, coms, rel)
+
+
 def test_serial_chain_needs_full_horizon():
     coms = chain(3)
     rel = make_relations(coms)  # pairwise non-sharing

@@ -7,7 +7,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dqcc.circuit import Commodity
-from dqcc.flow import SolverStats, brute_force_oracle, check_solution, e_depth, quickest
+from dqcc.flow import (
+    SolverStats,
+    brute_force_oracle,
+    check_solution,
+    e_depth,
+    quickest,
+    solve_fixed_horizon,
+)
 from dqcc.network import QuotientGraph
 from conftest import make_relations
 
@@ -60,3 +67,19 @@ def test_quickest_matches_oracle(instance):
     assert sol.steps == ref.steps
     assert check_solution(q, coms, rel, sol) == []
     assert stats.invocations <= math.ceil(math.log2(len(coms))) + 1
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instances())
+def test_fixed_horizon_returns_the_quickest_schedule(instance):
+    """Below the quickest depth no horizon is feasible; at or above it the
+    search returns the quickest schedule itself."""
+    q, coms, rel = instance
+    sol = quickest(q, coms, rel)
+    for d in range(1, len(coms) + 1):
+        found = solve_fixed_horizon(q, coms, rel, d)
+        if d < e_depth(sol):
+            assert found is None
+        else:
+            assert found == sol

@@ -10,8 +10,7 @@ from dqcc.pipeline import prepare
 from conftest import EXAMPLE_CIRCUIT, LINE4_NETWORK
 
 # Four disjoint remote cx in one layer over a single link: nothing orders
-# them, but only one fits per step, so the search probes horizons 2 and 3
-# before solving at 4.
+# them, but only one fits per step, so the one search ends at depth 4.
 PARALLEL_CIRCUIT = "qubits a1 a2 a3 a4 b1 b2 b3 b4\n" + "".join(
     f"cx a{i} b{i}\n" for i in range(1, 5)
 )
@@ -78,10 +77,10 @@ def test_precedence_built_once_per_quickest(monkeypatch):
     monkeypatch.setattr(flow, "_precedence", counted)
     stats = SolverStats()
     sol = quickest(q, coms, rel, stats)
-    assert sol.d == 4 and stats.invocations == 3
+    assert sol.d == 4 and stats.invocations == 1
     assert calls == [4]
 
-    # A direct call without a router builds its own lists.
+    # A direct call at the serial horizon is the same search.
     calls.clear()
     assert solve_fixed_horizon(q, coms, rel, 4) == sol
     assert calls == [4]
