@@ -7,8 +7,10 @@ summarised as one line of ``tests/data/cli_golden.txt``:
 
 ``flags`` joins the options with commas (``-`` for none); ``out`` and ``err``
 are the first 16 hex digits of the sha256 of standard output, without its
-``wall_time_s=`` line, and of standard error. A report field the run did not
-print reads ``-``.
+``wall_time_s=`` and ``solver_nodes=`` lines, and of standard error. The
+node count stays pinned in its own column, so a change to the search alone
+shows in that column and leaves ``out`` as it was. A report field the run
+did not print reads ``-``.
 
 The programs come from ``random.Random("golden:1")`` on rings of 2-6
 processors, one or two computation qubits each; the generator lives here so
@@ -137,7 +139,7 @@ def run_case(case: Case, workdir: Path) -> str:
         key, eq, value = line.rstrip("\n").partition("=")
         if eq and " " not in key:
             report.setdefault(key, value)
-    stable = "".join(line for line in lines if not line.startswith("wall_time_s="))
+    stable = "".join(line for line in lines if not line.startswith(("wall_time_s=", "solver_nodes=")))
     fields = [case.name, ",".join(case.flags) or "-", f"exit={code}"]
     fields += [f"{key}={report.get(key, '-')}" for key in REPORT_KEYS]
     fields += [f"out={_digest(stable)}", f"err={_digest(err.getvalue())}"]
