@@ -96,7 +96,7 @@ class _Router:
     Holds the precedence lists, each commodity's simple paths with their
     edge keys (computed once per processor pair), and the minimum-total-
     flow routing of one step's commodities under the per-step capacities,
-    memoized on the commodity subset.
+    memoized on the commodity tuple with the edge loads it leaves.
     """
 
     def __init__(
@@ -121,42 +121,73 @@ class _Router:
             paths, edges = by_pair[pair]
             self.paths[c.index], self.edges[c.index] = paths, edges
             self.dist[c.index] = len(edges[0]) if edges else 10**9
-        self.cache: dict[tuple[int, ...], tuple[int, dict[int, tuple[str, ...]]] | None] = {}
+        # The empty set routes at no cost, so a step's first member extends it.
+        self.cache: dict[tuple[int, ...], tuple[int, dict[int, tuple[str, ...]]] | None] = {(): (0, {})}
+        self.loads: dict[tuple[int, ...], dict[Edge, int]] = {(): {}}
 
     def route(self, members: tuple[int, ...]) -> tuple[int, dict[int, tuple[str, ...]]] | None:
+        """The first minimum-flow routing of ``members`` in the product
+        order of their paths, or None when none fits the capacities.
+
+        When ``members[:-1]`` is routed and some shortest path of the last
+        member fits in the capacity that routing leaves, the routing plus
+        the first such path is the answer, counted as one node: its flow is
+        a lower bound, and the depth-first search, which orders the earlier
+        members' paths first, reaches it first. Otherwise the search runs.
+        """
         if members in self.cache:
             return self.cache[members]
         capacity = self.q.capacity
-        best: list = [None]
+        prefix, last = members[:-1], members[-1]
+        if self.cache.get(prefix) is not None:
+            (flow, routed), loads = self.cache[prefix], self.loads[prefix]
+            for path, edges in zip(self.paths[last], self.edges[last]):
+                if len(edges) > self.dist[last]:
+                    break
+                for e in edges:
+                    if loads.get(e, 0) >= capacity[e]:
+                        break
+                else:
+                    self.stats.nodes += 1
+                    grown = dict(loads)
+                    for e in edges:
+                        grown[e] = grown.get(e, 0) + 1
+                    self.loads[members] = grown
+                    self.cache[members] = flow + len(edges), {**routed, last: path}
+                    return self.cache[members]
+        best: tuple[int, dict[int, tuple[str, ...]]] | None = None
         used: dict[Edge, int] = {}
         chosen: dict[int, tuple[str, ...]] = {}
-        remaining_bound = [sum(self.dist[i] for i in members)]
+        rest = [0] * (len(members) + 1)  # shortest-path flow of members[pos:]
+        for pos in range(len(members) - 1, -1, -1):
+            rest[pos] = rest[pos + 1] + self.dist[members[pos]]
 
         def place(pos: int, flow: int) -> None:
+            nonlocal best
             self.stats.nodes += 1
-            if best[0] is not None and flow + remaining_bound[0] >= best[0][0]:
+            if best is not None and flow + rest[pos] >= best[0]:
                 return
-            if pos == len(members):
-                if best[0] is None or flow < best[0][0]:
-                    best[0] = (flow, dict(chosen))
+            if pos == len(members):  # a leaf the bound let through improves
+                best = (flow, dict(chosen))
+                self.loads[members] = dict(used)
                 return
             i = members[pos]
-            remaining_bound[0] -= self.dist[i]
             for path, edges in zip(self.paths[i], self.edges[i]):
-                if any(used.get(e, 0) >= capacity[e] for e in edges):
-                    continue
                 for e in edges:
-                    used[e] = used.get(e, 0) + 1
-                chosen[i] = path
-                place(pos + 1, flow + len(edges))
-                del chosen[i]
-                for e in edges:
-                    used[e] -= 1
-            remaining_bound[0] += self.dist[i]
+                    if used.get(e, 0) >= capacity[e]:
+                        break
+                else:
+                    for e in edges:
+                        used[e] = used.get(e, 0) + 1
+                    chosen[i] = path
+                    place(pos + 1, flow + len(edges))
+                    del chosen[i]
+                    for e in edges:
+                        used[e] -= 1
 
         place(0, 0)
-        self.cache[members] = best[0]
-        return best[0]
+        self.cache[members] = best
+        return best
 
 
 def solve_fixed_horizon(
@@ -379,14 +410,17 @@ def check_solution(
 
     Checks: per-step per-commodity flow conservation, unit demand at the
     endpoint processors, per-step undirected capacity, completion-step
-    precedence, and cycle-freeness (simple paths).
+    precedence, and cycle-freeness (simple paths). Only the (processor,
+    step) and (edge, step) entries that carry flow within the horizon are
+    visited; every other entry is zero and satisfies its constraint.
     """
     problems: list[str] = []
     d = solution.d
-    # Reconstruct directed arc flows f[(u, v), i, tau].
-    f: dict[tuple[tuple[str, str], int, int], int] = {}
+    net: dict[int, dict[str, int]] = {}  # commodity -> node -> inflow - outflow
+    load: dict[tuple[Edge, int], int] = {}
     for c in commodities:
         i = c.index
+        net[i] = {}
         if i not in solution.steps or i not in solution.paths:
             problems.append(f"commodity {i} missing from solution")
             continue
@@ -399,43 +433,38 @@ def check_solution(
         if len(set(path)) != len(path):
             problems.append(f"commodity {i} path revisits a processor")
         for a, b in zip(path, path[1:]):
-            if edge_key(a, b) not in q.capacity:
+            key = edge_key(a, b)
+            if key not in q.capacity:
                 problems.append(f"commodity {i} uses missing edge {a}-{b}")
-            f[((a, b), i, tau)] = f.get(((a, b), i, tau), 0) + 1
+            load[(key, tau)] = load.get((key, tau), 0) + 1
+            if 1 <= tau <= d:
+                net[i][b] = net[i].get(b, 0) + 1
+                net[i][a] = net[i].get(a, 0) - 1
 
-    # Sum in-flows, out-flows and per-(edge, step) loads in one pass.
-    inflow: dict[tuple[str, int, int], int] = {}
-    outflow: dict[tuple[str, int, int], int] = {}
-    load: dict[tuple[tuple[str, str], int], int] = {}
-    for ((a, b), i, tau), v in f.items():
-        inflow[(b, i, tau)] = inflow.get((b, i, tau), 0) + v
-        outflow[(a, i, tau)] = outflow.get((a, i, tau), 0) + v
-        key = (edge_key(a, b), tau)
-        load[key] = load.get(key, 0) + v
-
-    def net(node: str, i: int, tau: int) -> int:
-        return inflow.get((node, i, tau), 0) - outflow.get((node, i, tau), 0)
-
+    node_rank = {node: r for r, node in enumerate(q.nodes)}
     for c in commodities:
-        i = c.index
-        for tau in range(1, d + 1):
-            for node in q.nodes:
-                if node in (c.control_proc, c.target_proc):
-                    continue
-                if net(node, i, tau) != 0:
-                    problems.append(f"conservation violated at {node} for {i} at step {tau}")
-        net_c = sum(net(c.control_proc, i, t) for t in range(1, d + 1))
-        net_t = sum(net(c.target_proc, i, t) for t in range(1, d + 1))
+        i, flows = c.index, net[c.index]
+        tau = solution.steps.get(i)
+        unbalanced = [
+            node for node, v in flows.items()
+            if v and node in node_rank and node not in (c.control_proc, c.target_proc)
+        ]
+        for node in sorted(unbalanced, key=node_rank.get):
+            problems.append(f"conservation violated at {node} for {i} at step {tau}")
+        net_c, net_t = flows.get(c.control_proc, 0), flows.get(c.target_proc, 0)
         if net_c != 1:
             problems.append(f"demand at control processor of {i} is {net_c}, want +1")
         if net_t != -1:
             problems.append(f"demand at target processor of {i} is {net_t}, want -1")
 
-    for edge, cap in q.capacity.items():
-        for tau in range(1, d + 1):
-            used = load.get((edge, tau), 0)
-            if used > cap:
-                problems.append(f"capacity exceeded on {edge} at step {tau}: {used} > {cap}")
+    edge_rank = {edge: r for r, edge in enumerate(q.capacity)}
+    overloaded = [
+        (edge, tau, used)
+        for (edge, tau), used in load.items()
+        if edge in edge_rank and 1 <= tau <= d and used > q.capacity[edge]
+    ]
+    for edge, tau, used in sorted(overloaded, key=lambda x: (edge_rank[x[0]], x[1])):
+        problems.append(f"capacity exceeded on {edge} at step {tau}: {used} > {q.capacity[edge]}")
 
     for c in commodities:
         for other in commodities:

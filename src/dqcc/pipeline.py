@@ -60,7 +60,7 @@ def compile(
     emit: bool = True,
     stats: SolverStats | None = None,
 ) -> CompileResult:
-    """Search the horizon, check the schedule and, with ``emit``, expand it
+    """Search the quickest schedule, check it and, with ``emit``, expand it
     into telegates. The options are ``dqcc compile``'s; ``stats`` collects
     the search's counters."""
     r = prepare(circuit_text, network_text, coherence, quasi_parallel)

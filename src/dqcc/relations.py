@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .circuit import Commodity, LogicalCircuit, Position, commodity_slots
@@ -57,8 +58,9 @@ class MergeCosts:
     Results are kept by ``(ci.index, cj.index)``, and a composite pair reads
     its two sub-pairs from the same table, so one relation build evaluates
     each pair once however many longer pairs span it. The remote-gate
-    slots, each commodity's bare telegate and its dependency cone are
-    computed once per table.
+    slots, each layer's lifted local gates, each commodity's bare telegate
+    and its dependency cone are computed once per table. ``commodities``
+    come in layer order, as ``extract_commodities`` returns them.
     """
 
     def __init__(
@@ -71,7 +73,12 @@ class MergeCosts:
         self.commodities = commodities
         self.stats = stats if stats is not None else PredicateStats()
         self._slots = commodity_slots(circuit, commodities)
-        self._remote = set(self._slots.values())
+        remote = set(self._slots.values())
+        self._locals = [
+            [lift(g) for slot, g in enumerate(layer) if (lay, slot) not in remote]
+            for lay, layer in enumerate(circuit.layers)
+        ]
+        self._layers = [c.layer for c in commodities]
         self._cones: dict[int, set[Position]] = {}
         self._telegates: dict[int, list[EGate]] = {}
         self._costs: dict[tuple[int, int], int | None] = {}
@@ -111,11 +118,7 @@ class MergeCosts:
         commodities."""
         frag: list[EGate] = []
         for lay in range(ci.layer, cj.layer + 1):
-            frag.extend(
-                lift(g)
-                for slot, g in enumerate(self.circuit.layers[lay])
-                if (lay, slot) not in self._remote
-            )
+            frag += self._locals[lay]
             if lay == ci.layer:
                 frag.extend(self._telegate(ci))
             if lay == cj.layer:
@@ -126,9 +129,10 @@ class MergeCosts:
         self.stats.recursive_calls += 1
         if self._slots[ci.index] not in self._cone(cj):
             return 0  # cj does not depend on ci, as in every same-layer pair
-        between = [c for c in self.commodities if ci.layer < c.layer < cj.layer]
-        if between:
-            pivot = between[len(between) // 2]
+        lo = bisect_right(self._layers, ci.layer)
+        hi = bisect_left(self._layers, cj.layer, lo)
+        if lo < hi:  # commodities lo..hi-1 lie strictly between the two
+            pivot = self.commodities[(lo + hi) // 2]
             left = self.cost(ci, pivot)
             if left is None:
                 return None

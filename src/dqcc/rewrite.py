@@ -9,6 +9,8 @@ logically conflicting telegates can share one entanglement round.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .circuit import Commodity, Gate
@@ -243,65 +245,29 @@ class RewriteOutcome:
     corrections: list[EGate]
 
 
-def _comm_qubits(gates: list[EGate]) -> set[str]:
-    return {q for g in gates if g.kind == "e" for q in g.qubits}
-
-
-def _prev_sharing(gates: list[EGate], idx: int, wires: set[str]) -> int | None:
-    for p in range(idx - 1, -1, -1):
-        if wires & set(gates[p].qubits):
-            return p
-    return None
-
-
-def _next_sharing(gates: list[EGate], idx: int, wire: str) -> int | None:
-    for p in range(idx, len(gates)):
-        if wire in gates[p].qubits:
-            return p
-    return None
-
-
-def _bubble_left(work: list[EGate], c: int, comm: set[str], count: list[int]) -> tuple[list[EGate], int]:
+def _bubble_left(work: list[EGate], c: int, comm: set[str], count: list[int]) -> int:
     """Move the communication-touching cx at index c left past local
-    unitaries on shared wires while the rule set allows. Returns the new
-    list and the cx's final index."""
+    unitaries on shared wires while the rule set allows, rewriting
+    ``work`` in place. Returns the cx's final index."""
     while True:
         g = work[c]
-        prev = _prev_sharing(work, c, set(g.qubits))
-        if prev is None:
-            return work, c
+        a, b = g.qubits
+        for prev in range(c - 1, -1, -1):
+            qubits = work[prev].qubits
+            if a in qubits or b in qubits:
+                break
+        else:
+            return c
         before = work[prev]
-        if before.kind not in ("h", "t", "cx") or (comm & set(before.qubits)):
-            return work, c  # protocol gate, pauli, or another telegate
-        if before.kind == "h":
-            w = before.qubits[0]
-            other = g.qubits[1] if w == g.qubits[0] else g.qubits[0]
-            twin = _prev_sharing(work, c, {other})
-            if (
-                twin is not None
-                and work[twin].kind == "h"
-                and other not in comm
-            ):
-                # h on both wires immediately before: flip and jump both.
-                count[0] += 1
-                flipped = cx(g.qubits[1], g.qubits[0])
-                lo = min(prev, twin)
-                pre = [x for i, x in enumerate(work[:c]) if i not in (prev, twin)]
-                work = (
-                    pre[:lo]
-                    + [flipped, h(g.qubits[0]), h(g.qubits[1])]
-                    + pre[lo:]
-                    + work[c + 1 :]
-                )
-                c = lo
-                continue
+        if before.kind not in ("h", "t", "cx") or not comm.isdisjoint(before.qubits):
+            return c  # protocol gate, pauli, or another telegate
         repl = push_backward(g, before)
         if repl is None:
-            return work, c
+            return c
         if len(repl) == 2:
             # plain commutation: swap the cx before the local gate
             count[0] += 1
-            work = work[:prev] + [repl[0]] + work[prev + 1 : c] + [repl[1]] + work[c + 1 :]
+            work[prev], work[c] = repl
             c = prev
             continue
         # Single-h rule: [h w, cx] -> [h other, cx flipped, h w, h other].
@@ -309,17 +275,18 @@ def _bubble_left(work: list[EGate], c: int, comm: set[str], count: list[int]) ->
         # h on that wire (the protocol h before the measurement); otherwise
         # the flip just lengthens the communication qubit's life.
         trailing = repl[3]
-        follow = _next_sharing(work, c + 1, trailing.qubits[0])
+        wire = trailing.qubits[0]
+        follow = next((p for p in range(c + 1, len(work)) if wire in work[p].qubits), None)
         if follow is None or work[follow] != trailing:
-            return work, c
+            return c
         count[0] += 1
-        work = work[:prev] + repl + work[prev + 1 : c] + work[c + 1 :]
-        c = prev + 1
-        trailing_at = prev + 3
-        nxt = _next_sharing(work, trailing_at + 1, trailing.qubits[0])
-        del work[nxt]  # type: ignore[arg-type]
-        del work[trailing_at]
-        return work, c  # the inserted h on the comm wire shields further moves
+        del work[c]
+        work[prev : prev + 1] = repl
+        # Cancel the trailing h (now at prev + 3) against the h it met,
+        # which the three inserted gates and the removed cx moved to
+        # follow + 2.
+        del work[follow + 2], work[prev + 3]
+        return prev + 1  # the inserted h on the comm wire shields further moves
 
 
 def rewrite_step(gates: list[EGate], counter: list[int] | None = None) -> RewriteOutcome | None:
@@ -333,76 +300,73 @@ def rewrite_step(gates: list[EGate], counter: list[int] | None = None) -> Rewrit
     pending Pauli cannot clear the fragment.
     """
     count = counter if counter is not None else [0]
-    work = [g for g in gates if g.kind == "e"] + [g for g in gates if g.kind != "e"]
-    comm = _comm_qubits(work)
+    entangling = [g for g in gates if g.kind == "e"]
+    work = entangling + [g for g in gates if g.kind != "e"]
+    comm = {q for g in entangling for q in g.qubits}
 
-    idx = 0
+    idx = len(entangling)
     while idx < len(work):
         g = work[idx]
-        if g.kind != "cx" or not (comm & set(g.qubits)):
+        if g.kind != "cx" or comm.isdisjoint(g.qubits):
             idx += 1
             continue
-        work, pos = _bubble_left(work, idx, comm, count)
-        idx = pos + 1
+        idx = _bubble_left(work, idx, comm, count) + 1
 
-    # Forward pass: commute every pending Pauli to the fragment end.
-    parked: dict[tuple[str, str], BitExpr] = {}
+    # Forward pass: commute every pending Pauli to the fragment end. The
+    # Paulis keep their places until the pass ends, so the positions of
+    # the other gates on each wire are listed once.
+    in_step: list[EGate] = []
+    paulis: list[int] = []
+    on_wire: defaultdict[str, list[int]] = defaultdict(list)
+    for p, g in enumerate(work):
+        if g.kind in ("px", "pz"):
+            paulis.append(p)
+        else:
+            in_step.append(g)
+            for q in g.qubits:
+                on_wire[q].append(p)
+    parked: dict[tuple[str, bool], BitExpr] = {}  # (qubit, is an X) -> exponent
 
-    def park(term: PauliTerm) -> None:
-        key = (term.qubit, term.kind)
-        parked[key] = parked.get(key, EMPTY) ^ term.expr
-
-    pos = 0
-    while pos < len(work):
+    for pos in paulis:
         g = work[pos]
-        if g.kind not in ("px", "pz"):
-            pos += 1
-            continue
-        del work[pos]
-        queue = [(PauliTerm("x" if g.kind == "px" else "z", g.qubits[0], g.expr), pos)]
-        while queue:
-            term, at = queue.pop(0)
-            if not term.expr:
+        # Terms as (kind, qubit, exponent, position); a PauliTerm is built
+        # only for the rule that reads one.
+        queue = [("x" if g.kind == "px" else "z", g.qubits[0], g.expr, pos)]
+        for n, (kind, qubit, expr, at) in enumerate(queue):
+            if not expr:
                 continue
-            nxt = _next_sharing(work, at, term.qubit)
-            while nxt is not None and work[nxt].kind in ("px", "pz"):
-                nxt = _next_sharing(work, nxt + 1, term.qubit)  # paulis commute
-            if nxt is None:
-                park(term)
+            wire = on_wire.get(qubit, ())
+            w = bisect_left(wire, at)
+            if w == len(wire):
+                key = (qubit, kind == "x")
+                parked[key] = parked.get(key, EMPTY) ^ expr
                 continue
+            nxt = wire[w]
             gate_n = work[nxt]
+            term = PauliTerm(kind, qubit, expr)
             if gate_n.kind == "m":
                 count[0] += 1
-                tail = forward_measurement_bit(term, gate_n, work[nxt + 1 :])
-                work = work[: nxt + 1] + tail
-                if term.kind == "x":
-                    queue = [
-                        (replace(tm, expr=tm.expr ^ term.expr), a)
-                        if gate_n.bit in tm.expr
-                        else (tm, a)
-                        for tm, a in queue
-                    ]
-                    parked.update(
-                        {
-                            k: v ^ term.expr
-                            for k, v in parked.items()
-                            if gate_n.bit in v
-                        }
-                    )
+                if kind == "x":
+                    later = paulis[bisect_left(paulis, nxt) :]
+                    folded = forward_measurement_bit(term, gate_n, [work[p] for p in later])
+                    for p, pauli in zip(later, folded):
+                        work[p] = pauli
+                    for j in range(n + 1, len(queue)):
+                        kind_j, qubit_j, expr_j, at_j = queue[j]
+                        if gate_n.bit in expr_j:
+                            queue[j] = (kind_j, qubit_j, expr_j ^ expr, at_j)
+                    for key, v in parked.items():
+                        if gate_n.bit in v:
+                            parked[key] = v ^ expr
                 continue
             res = push_forward(term, gate_n)
             if res is None:
                 return None
             count[0] += 1
-            for tm in res:
-                queue.append((tm, nxt + 1))
+            queue += [(tm.kind, tm.qubit, tm.expr, nxt + 1) for tm in res]
 
-    corrections = [
-        (px(q, expr) if kind == "x" else pz(q, expr))
-        for (q, kind), expr in sorted(parked.items(), key=lambda kv: (kv[0][0], kv[0][1] != "z"))
-        if expr
-    ]
-    return RewriteOutcome(work, corrections)
+    corrections = [(px if x else pz)(q, expr) for (q, x), expr in sorted(parked.items()) if expr]
+    return RewriteOutcome(in_step, corrections)
 
 
 # --- Telegate fragments -----------------------------------------------

@@ -1,5 +1,9 @@
-"""Seeded property test: the structures computed once per graph or per
-compile equal their per-call definitions."""
+"""Seeded property tests: the structures computed once per graph or per
+compile, and the router's memoised step routings, equal their per-call
+definitions."""
+
+import itertools
+import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -63,6 +67,26 @@ def scan_simple_paths(q, source, sink):
     return out
 
 
+def product_route(q, coms, members):
+    """The first minimum-flow routing of ``members`` in the product order of
+    their simple paths, or None when no combination fits the capacities."""
+    by_index = {c.index: c for c in coms}
+    options = [scan_simple_paths(q, by_index[i].target_proc, by_index[i].control_proc)
+               for i in members]
+    best = None
+    for chosen in itertools.product(*options):
+        load = {}
+        for path in chosen:
+            for a, b in zip(path, path[1:]):
+                load[edge_key(a, b)] = load.get(edge_key(a, b), 0) + 1
+        if any(used > q.capacity[e] for e, used in load.items()):
+            continue
+        flow = sum(len(p) - 1 for p in chosen)
+        if best is None or flow < best[0]:
+            best = (flow, dict(zip(members, chosen)))
+    return best
+
+
 def pairwise_precedence(coms, rel):
     preds = {c.index: [] for c in coms}
     succs = {c.index: [] for c in coms}
@@ -102,3 +126,20 @@ def test_cached_structures_match_per_call_definitions(instance):
         assert router.edges[c.index] == [
             tuple(edge_key(a, b) for a, b in zip(p, p[1:])) for p in paths
         ]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instances(), st.data())
+def test_router_returns_the_first_minimum_routing(instance, data):
+    """Member tuples grow one commodity at a time, as a step fills during the
+    search; at every size the router's routing is the reference's."""
+    q, coms, rel = instance
+    router = _Router(q, coms, rel, SolverStats())
+    for _ in range(3):
+        order = data.draw(st.permutations([c.index for c in coms]))
+        for size in range(1, len(order) + 1):
+            members = tuple(order[:size])
+            if math.prod(len(router.paths[i]) for i in members) > 20_000:
+                break  # keep the exhaustive reference small
+            assert router.route(members) == product_route(q, coms, members), members

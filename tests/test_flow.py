@@ -189,6 +189,15 @@ def test_checker_flags_violations():
     assert check_solution(two_proc(1), coms2, rel2, squeezed) == [
         "capacity exceeded on ('P1', 'P2') at step 1: 2 > 1"
     ]
+    # capacity problems come edge by edge, then step by step
+    coms4 = [Commodity(i, "P3" if i < 3 else "P1", "P2", f"a{i}", f"b{i}", 0) for i in range(1, 6)]
+    crowded = Solution(
+        2, {1: 1, 2: 1, 3: 2, 4: 2, 5: 2}, {i: ("P2", "P3" if i < 3 else "P1") for i in range(1, 6)}, 5
+    )
+    assert check_solution(line3(), coms4, make_relations(coms4), crowded) == [
+        "capacity exceeded on ('P1', 'P2') at step 2: 3 > 2",
+        "capacity exceeded on ('P2', 'P3') at step 1: 2 > 1",
+    ]
     # wrong endpoints
     flipped = Solution(good.d, dict(good.steps), {i: p[::-1] for i, p in good.paths.items()}, good.total_flow)
     assert check_solution(two_proc(2), coms, rel, flipped) == [

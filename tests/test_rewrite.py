@@ -94,6 +94,25 @@ def test_forward_measurement_bit_empty_expr_is_noop():
     assert out == down
 
 
+def test_x_fold_updates_every_reader_of_the_bit():
+    # The X on a is copied onto c, then folds into the measurement of a,
+    # whose bit b three things read: the Z already parked on p, the copy on
+    # c still queued, and the later correction on r. Each takes the X's
+    # exponent {b, s}; the copy's exponent cancels and it is dropped.
+    gates = [
+        pz("p", F({"b"})),
+        px("a", F({"b", "s"})),
+        cx("a", "c"),
+        m("a", "b"),
+        pz("r", F({"b"})),
+    ]
+    counter = [0]
+    out = rewrite_step(gates, counter)
+    assert out.in_step == [cx("a", "c"), m("a", "b")]
+    assert out.corrections == [pz("p", F({"s"})), pz("r", F({"s"}))]
+    assert counter == [2]  # the copy through the cx and the fold
+
+
 # --- push_backward ------------------------------------------------------
 
 
