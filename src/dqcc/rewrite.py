@@ -264,29 +264,26 @@ def _bubble_left(work: list[EGate], c: int, comm: set[str], count: list[int]) ->
         repl = push_backward(g, before)
         if repl is None:
             return c
-        if len(repl) == 2:
-            # plain commutation: swap the cx before the local gate
-            count[0] += 1
-            work[prev], work[c] = repl
-            c = prev
-            continue
-        # Single-h rule: [h w, cx] -> [h other, cx flipped, h w, h other].
-        # Worth applying only when the trailing h cancels against the next
-        # h on that wire (the protocol h before the measurement); otherwise
-        # the flip just lengthens the communication qubit's life.
-        trailing = repl[3]
-        wire = trailing.qubits[0]
-        follow = next((p for p in range(c + 1, len(work)) if wire in work[p].qubits), None)
-        if follow is None or work[follow] != trailing:
-            return c
+        if len(repl) == 4:
+            # Single-h rule: [h w, cx] -> [h other, cx flipped, h w, h other].
+            # Worth applying only when the trailing h cancels against the
+            # next gate on that wire (the protocol h before the measurement);
+            # otherwise the flip just lengthens the communication qubit's
+            # life. The trailing h is not inserted and the h it meets goes.
+            trailing = repl.pop()
+            wire = trailing.qubits[0]
+            follow = next((p for p in range(c + 1, len(work)) if wire in work[p].qubits), None)
+            if follow is None or work[follow] != trailing:
+                return c
+            del work[follow]
+        # The cx moves in front of the gate it passes; the gates between
+        # touch neither of its wires and keep their order.
         count[0] += 1
         del work[c]
         work[prev : prev + 1] = repl
-        # Cancel the trailing h (now at prev + 3) against the h it met,
-        # which the three inserted gates and the removed cx moved to
-        # follow + 2.
-        del work[follow + 2], work[prev + 3]
-        return prev + 1  # the inserted h on the comm wire shields further moves
+        if len(repl) == 3:
+            return prev + 1  # the inserted h on the comm wire shields further moves
+        c = prev
 
 
 def rewrite_step(gates: list[EGate], counter: list[int] | None = None) -> RewriteOutcome | None:

@@ -7,6 +7,7 @@ import pytest
 from dqcc import cli
 from dqcc.cli import main
 from dqcc.flow import SolverStats
+from golden_cli import ring_network
 from conftest import EXAMPLE_CIRCUIT, LINE4_NETWORK, hub_chain, hub_network
 from test_reuse import ONE_LINK_NETWORK, PARALLEL_CIRCUIT
 
@@ -86,6 +87,24 @@ def test_verify_merges_branches_of_a_long_telegate_chain(tmp_path, capsys):
     report = dict(line.split("=", 1) for line in out.splitlines() if line.startswith("verify_"))
     assert report["verify_end_to_end"] == "PASS" and report["verify_mode"] == "process"
     assert int(report["verify_peak_branches"]) <= 16
+
+
+def test_verify_passes_a_rewritten_three_operation_step(tmp_path, capsys):
+    # A seeded ring program (perfbench's ring-batch.0-0369, seed 1) on a
+    # 3-ring with one link per hop: step 2 shares one round among three
+    # operations, and the rewrite of their fragment must keep its meaning.
+    circ = tmp_path / "c.circ"
+    net = tmp_path / "n.net"
+    gates = (
+        "t q0_0; cx q2_1 q1_0; cx q1_1 q2_0; h q0_0; cx q0_0 q0_1; h q1_0; h q0_1; "
+        "t q1_1; t q1_1; cx q2_1 q0_1; cx q0_0 q1_1; cx q2_0 q0_1"
+    )
+    circ.write_text("qubits q0_0 q0_1 q1_0 q1_1 q2_0 q2_1\n" + gates.replace("; ", "\n") + "\n")
+    net.write_text(ring_network(3, 1, 2))
+    code, out = run_cli(
+        ["compile", "--circuit", circ, "--network", net, "--verify", "--emit-physical"], capsys
+    )
+    assert code == 0 and "verify_end_to_end=PASS" in out
 
 
 def test_compile_parse_error_exit_2(files, capsys):

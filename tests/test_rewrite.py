@@ -266,6 +266,20 @@ def test_merge_plans_are_equivalent_to_sequential():
         assert rep.equal, (src, rep.max_deviation)
 
 
+def test_commuted_cx_moves_in_front_of_the_gate_it_passes():
+    # The pre-processing cx of `cx q1 q3` commutes past the local `cx q1 q4`
+    # (common control). `h q4` lies between the two, so swapping the two
+    # cx gates would move `cx q1 q4` past `h q4` and change the fragment.
+    circ = layerize(parse_circuit("qubits q1 q2 q3 q4\ncx q1 q2\ncx q1 q4\nh q4\ncx q1 q3\n"))
+    coms = extract_commodities(circ, {"q1": "P1", "q4": "P1", "q2": "P2", "q3": "P3"})
+    sequential, out = merged_pair(circ, coms, coms[0], coms[1])
+    rep = equivalent_fragments(
+        ExtendedCircuit(circ.qubits, tuple(out.in_step + out.corrections)),
+        ExtendedCircuit(circ.qubits, tuple(sequential)),
+    )
+    assert rep.equal, rep.max_deviation
+
+
 def test_rewrite_outputs_no_inline_paulis():
     circ, coms = conflict_pair()
     _, out = merged_pair(circ, coms, coms[0], coms[1])
