@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from math import inf
 
 
 class CircuitError(ValueError):
@@ -101,33 +102,50 @@ class LogicalCircuit:
                     last[q] = (lay, slot)
         return preds
 
-    def cone(
-        self, roots: Iterable[tuple[Position, str]], floor: int, passing: Collection[Position] = ()
-    ) -> set[Position]:
-        """The gates at layer >= ``floor`` that the (position, qubit) roots
-        depend on, walking the DAG back from each root's previous gate on
-        its qubit. A gate reached joins and goes on along both its wires; a
-        gate in ``passing`` stays out and goes on along its arrival wire."""
+    def cone(self, roots: Iterable[tuple[Position, str]]) -> set[Position]:
+        """The gates the (position, qubit) roots depend on, walking the DAG
+        back from each root's previous gate on its qubit."""
         preds, layers = self._wire_preds, self.layers
         todo = list(roots)
         found: set[Position] = set()
         while todo:
             pos, wire = todo.pop()
             prev = preds.get((pos, wire))
-            if prev is None or prev[0] < floor or prev in found:
+            if prev is None or prev in found:
                 continue
-            if prev in passing:
-                todo.append((prev, wire))
-            else:
-                found.add(prev)
-                for w in layers[prev[0]][prev[1]].qubits:
-                    todo.append((prev, w))
+            found.add(prev)
+            todo += [(prev, w) for w in layers[prev[0]][prev[1]].qubits]
         return found
+
+    def step_bounds(
+        self, steps: Mapping[Position, int]
+    ) -> tuple[dict[Position, float], dict[Position, float]]:
+        """Two bounds per gate, given the step of each remote operation by
+        position: ``low``, the latest step among the operations the gate
+        depends on (0 if none), and ``high``, the earliest step among those
+        that depend on it (``inf`` if none). One forward and one backward
+        pass over the wire order."""
+        gates = [
+            ((lay, slot), g) for lay, layer in enumerate(self.layers) for slot, g in enumerate(layer)
+        ]
+        return _carry(gates, steps, 0, max), _carry(gates[::-1], steps, inf, min)
 
     def to_text(self) -> str:
         lines = ["qubits " + " ".join(self.qubits)]
         lines += [str(g) for g in self.gates()]
         return "\n".join(lines) + "\n"
+
+
+def _carry(gates, steps, none, pick) -> dict[Position, float]:
+    """Each gate's ``pick`` over the gates before it in ``gates``: a running
+    bound per qubit takes in every operation's own step as it passes."""
+    bound: dict[Position, float] = {}
+    running: dict[str, float] = {}
+    for pos, gate in gates:
+        bound[pos] = pick(running.get(q, none) for q in gate.qubits)
+        for q in gate.qubits:
+            running[q] = pick(bound[pos], steps.get(pos, none))
+    return bound
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .circuit import Commodity, Gate, LogicalCircuit, commodity_slots, reject_reserved
+from .circuit import Commodity, LogicalCircuit, Position, commodity_slots, reject_reserved
 from .flow import Solution, e_depth
 from .network import NetworkGraph, edge_key, links_by_edge
 from .relations import RelationTable
@@ -242,6 +242,33 @@ def _bind_paths(
     return out
 
 
+def place_gates(
+    circuit: LogicalCircuit, steps: dict[Position, int]
+) -> tuple[dict[int, list[Position]], dict[int, list[Position]]]:
+    """Where each gate runs, given the step of every remote operation by
+    position. ``fragments[s]`` holds step s's operations and the local gates
+    that depend on one of them and that one of them depends on: ``low ==
+    high == s`` in ``LogicalCircuit.step_bounds``. Every other local gate
+    opens step ``low + 1`` in ``prefixes``; step d + 1 is the trailing
+    block. Both keep circuit order. Raises ``EmitError`` when an operation
+    depends on one in a later step, which also covers a local gate with
+    ``low`` above ``high``: an operation of step ``high`` depends on it."""
+    low, high = circuit.step_bounds(steps)
+    fragments: dict[int, list[Position]] = {}
+    prefixes: dict[int, list[Position]] = {}
+    for pos, after in low.items():  # circuit order
+        if pos in steps:
+            if after > steps[pos]:
+                gate = circuit.layers[pos[0]][pos[1]]
+                raise EmitError(f"{gate} in step {steps[pos]} depends on an operation in step {after}")
+            fragments.setdefault(steps[pos], []).append(pos)
+        elif after == high[pos]:
+            fragments.setdefault(after, []).append(pos)
+        else:
+            prefixes.setdefault(after + 1, []).append(pos)
+    return fragments, prefixes
+
+
 def emit_schedule(
     solution: Solution,
     circuit: LogicalCircuit,
@@ -249,89 +276,44 @@ def emit_schedule(
     relations: RelationTable,
     net: NetworkGraph,
 ) -> PhysicalSchedule:
-    """Expand a schedule into the physical circuit.
-
-    Local gates a step's telegates depend on join that step's fragment;
-    every other local gate runs at the start of the step after its last
-    remote predecessor completes, once that step's corrections have
-    landed. Deferred corrections open the following block.
+    """Expand a schedule into the physical circuit. Each block opens with
+    the step's entanglements, then the corrections deferred from the step
+    before, the local gates ``place_gates`` puts ahead of the step and the
+    step's rewritten fragment.
 
     ``relations`` is not read: each step's fragment is rewritten here from
     the circuit. The parameter stays only because ``perfbench/tracing.py``
     passes it by position.
     """
     d = e_depth(solution)
-    by_step: dict[int, list[Commodity]] = {}
-    for c in commodities:
-        by_step.setdefault(solution.steps[c.index], []).append(c)
-    for step in by_step:
-        by_step[step].sort(key=lambda c: c.index)
-    remote_gate_pos = commodity_slots(circuit, commodities)
-    remote_positions = set(remote_gate_pos.values())
+    slots = commodity_slots(circuit, commodities)
+    at = {slots[c.index]: c for c in commodities}
+    fragments, prefixes = place_gates(circuit, {p: solution.steps[c.index] for p, c in at.items()})
 
-    # A step's fragment needs exactly the local gates its telegates depend
-    # on: their dependency cone down to the step's lowest layer, passing
-    # over remote gates. Anything else may run later.
-    required: dict[int, set[tuple[int, int]]] = {}
-    for step, members in by_step.items():
-        roots = [(remote_gate_pos[c.index], q) for c in members for q in c.operands]
-        lowest = min(c.layer for c in members)
-        required[step] = circuit.cone(roots, floor=lowest, passing=remote_positions)
-
-    # Destination of each local gate: absorbed into the earliest step's
-    # fragment whose telegates depend on it, otherwise the prefix of the
-    # step after its last remote predecessor completes (its corrections
-    # have landed by then), or the trailing block.
-    absorbed: dict[tuple[int, int], int] = {}
-    for step in sorted(required):
-        for pos in required[step]:
-            absorbed.setdefault(pos, step)
-    last_step: dict[int, int] = {}  # layer -> latest step of its commodities
-    for c in commodities:
-        last_step[c.layer] = max(last_step.get(c.layer, 0), solution.steps[c.index])
-    prefix: dict[int, list[Gate]] = {}
-    trailing_locals: list[Gate] = []
-    latest = 0  # latest step of any commodity in an earlier layer
-    for lay, layer in enumerate(circuit.layers):
-        dest = latest + 1
-        latest = max(latest, last_step.get(lay, 0))
-        for gi, gate in enumerate(layer):
-            if (lay, gi) in remote_positions or (lay, gi) in absorbed:
-                continue
-            if dest > d or d == 0:
-                trailing_locals.append(gate)
-            else:
-                prefix.setdefault(dest, []).append(gate)
+    def lifted(positions: list[Position]) -> list[EGate]:
+        return [lift(circuit.layers[lay][slot]) for lay, slot in positions]
 
     table = links_by_edge(net)
     blocks: list[StepBlock] = []
     pending: list[EGate] = []
     for step in range(1, d + 1):
-        members = by_step.get(step, [])
+        fragment = fragments.get(step, [])
+        members = [at[p] for p in fragment if p in at]  # index order is circuit order
         alloc = BitAllocator(step)
         bound = _bind_paths(members, solution, net, table)
         frag: list[EGate] = []
-        lo = min((c.layer for c in members), default=0)
-        hi = max((c.layer for c in members), default=-1)
-        by_layer_members = {remote_gate_pos[c.index]: c for c in members}
-        for lay in range(lo, hi + 1):
-            for gi, gate in enumerate(circuit.layers[lay]):
-                if (lay, gi) in by_layer_members:
-                    com = by_layer_members[(lay, gi)]
-                    frag += emit_telegate(com, bound[com.index], alloc, net)
-                elif absorbed.get((lay, gi)) == step:
-                    frag.append(lift(gate))
+        for pos in fragment:
+            com = at.get(pos)
+            frag += lifted([pos]) if com is None else emit_telegate(com, bound[com.index], alloc, net)
         outcome = rewrite_step(frag)
         if outcome is None:
             raise EmitError(f"step {step} fragment failed to rewrite; solver and predicate disagree")
-        gates = list(outcome.in_step)
-        head = [g for g in gates if g.kind == "e"]
-        rest = [g for g in gates if g.kind != "e"]
-        block_gates = head + pending + [lift(g) for g in prefix.get(step, [])] + rest
-        blocks.append(StepBlock(step, block_gates))
+        head = [g for g in outcome.in_step if g.kind == "e"]
+        rest = [g for g in outcome.in_step if g.kind != "e"]
+        blocks.append(StepBlock(step, head + pending + lifted(prefixes.get(step, [])) + rest))
         pending = list(outcome.corrections)
 
-    tail = pending + [lift(g) for g in trailing_locals]
+    tail = pending + lifted(prefixes.get(d + 1, []))
     if tail or d == 0:
         blocks.append(StepBlock(d + 1 if d else 0, tail))
     return PhysicalSchedule(tuple(circuit.qubits), blocks, d)

@@ -104,11 +104,10 @@ class MergeCosts:
         return self._telegates[com.index]
 
     def _cone(self, com: Commodity) -> set[Position]:
-        """Every gate ``com`` depends on, in one walk: a path from cj back
-        to ci never leaves the layers >= ci.layer, so no floor is needed."""
+        """Every gate ``com`` depends on, in one walk."""
         if com.index not in self._cones:
             roots = [(self._slots[com.index], q) for q in com.operands]
-            self._cones[com.index] = self.circuit.cone(roots, floor=0)
+            self._cones[com.index] = self.circuit.cone(roots)
         return self._cones[com.index]
 
     def fragment(self, ci: Commodity, cj: Commodity) -> list[EGate]:

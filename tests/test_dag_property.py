@@ -1,17 +1,19 @@
-"""Seeded property test: the dependency DAG's backward walk, ``cone``,
-answers both dependency questions of the compiler on random layerized
-circuits and random sets of remote gates.
+"""Seeded property tests of the dependency DAG on random layerized circuits
+and random sets of remote gates.
 
-The references are the two algorithms ``cone`` replaced, kept here only to
-compare against: a forward walk per gate pair, which found that a later
-gate does not depend on an earlier one, and the emitter's backward sweep
-over a step's layer span, which collected the local gates the step's
-members depend on, passing over every remote gate."""
+``cone``, the DAG's backward walk, is compared with the algorithm it
+replaced, a forward walk per gate pair, which found that a later gate does
+not depend on an earlier one. The emitter's placement of local gates, read
+from ``step_bounds``, is compared with a definition built from cones alone:
+a step's fragment holds the local gates that depend on one of its
+operations and that one of its operations depends on."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqcc.circuit import layerize, parse_circuit
+from dqcc.expand import EmitError, place_gates
 
 
 def forward_independent(circ, a, b):
@@ -22,21 +24,6 @@ def forward_independent(circ, a, b):
             if cone & set(g.qubits):
                 cone.update(g.qubits)
     return not (cone & set(circ.layers[b[0]][b[1]].qubits))
-
-
-def span_sweep(circ, members, remote):
-    """The gates outside ``remote`` in the members' layer span that the
-    members depend on."""
-    wires, needed = set(), set()
-    for lay in range(max(l for l, _ in members), min(l for l, _ in members) - 1, -1):
-        for l, s in members:
-            if l == lay:
-                wires.update(circ.layers[l][s].qubits)
-        for slot, gate in enumerate(circ.layers[lay]):
-            if (lay, slot) not in remote and wires & set(gate.qubits):
-                needed.add((lay, slot))
-                wires.update(gate.qubits)
-    return needed
 
 
 @st.composite
@@ -64,13 +51,39 @@ def roots(circ, positions):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(circuits())
-def test_cone_matches_both_replaced_algorithms(drawn):
+def test_cone_matches_the_forward_walk(drawn):
     circ, positions, remote, members = drawn
     for b in positions:
         for a in positions:
             if a[0] <= b[0] and a != b:
                 independent = a[0] == b[0] or forward_independent(circ, a, b)
-                assert (a not in circ.cone(roots(circ, [b]), floor=a[0])) == independent
-    floor = min(l for l, _ in members)
-    got = circ.cone(roots(circ, members), floor=floor, passing=remote)
-    assert got == span_sweep(circ, members, remote)
+                assert (a not in circ.cone(roots(circ, [b]))) == independent
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(circuits(), st.data())
+def test_placement_depends_only_on_the_member_set(drawn, data):
+    circ, positions, remote, _ = drawn
+    ancestors = {p: circ.cone(roots(circ, [p])) for p in positions}
+    steps = {p: data.draw(st.integers(1, 4)) for p in sorted(remote)}
+    if data.draw(st.booleans()):
+        # Raise each step to its latest ancestor's: the schedule respects
+        # the DAG. Otherwise it may break a dependency.
+        for p in sorted(remote):
+            steps[p] = max([steps[p]] + [steps[a] for a in ancestors[p] & remote])
+    broken = any(steps[a] > steps[p] for p in remote for a in ancestors[p] & remote)
+    if broken:
+        with pytest.raises(EmitError):
+            place_gates(circ, steps)
+        return
+    fragments, prefixes = place_gates(circ, steps)
+    placed = [p for part in (fragments, prefixes) for held in part.values() for p in held]
+    assert sorted(placed) == positions  # every gate exactly once
+    for s in set(steps.values()):
+        members = {p for p in remote if steps[p] == s}
+        below = circ.cone(roots(circ, members))
+        between = {p for p in below - remote if ancestors[p] & members}
+        assert set(fragments[s]) == members | between
+    for s, held in prefixes.items():
+        for p in held:
+            assert s == 1 + max((steps[a] for a in ancestors[p] & remote), default=0)

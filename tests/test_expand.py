@@ -4,6 +4,7 @@ from dqcc.circuit import extract_commodities, layerize, parse_circuit
 from dqcc.expand import (
     BitAllocator,
     BoundPath,
+    EmitError,
     emit_schedule,
     emit_telegate,
     entanglement_path_fragment,
@@ -281,16 +282,22 @@ def test_bit_names_carry_step_prefix():
         assert bits and all(b.startswith(f"b{block.index}_") for b in bits)
 
 
+# Two processors of three computation qubits each, two links between them.
+TWO_LINK_NETWORK = (
+    "processor P1 { comp a b c comm p q }\nprocessor P2 { comp x y z comm r s }\n"
+    + "".join(f"local {c} {m}\n" for c in "abc" for m in "pq")
+    + "".join(f"local {c} {m}\n" for c in "xyz" for m in "rs")
+    + "elink p r\nelink q s\n"
+)
+
+
 def test_local_gate_in_two_steps_cones_is_emitted_once():
     # `h b` (and `t b`) lie in the cones of `cx b x` (step 1) and `cx b y`
     # (step 2). This schedule puts 3 before its sharable predecessor 2, an
     # order layer precedence never yields but a reordering of independent
-    # operations may; the earliest step that needs a local gate absorbs it.
-    network = "processor P1 { comp a b c comm p q }\nprocessor P2 { comp x y z comm r s }\n"
-    network += "".join(f"local {c} {m}\n" for c in "abc" for m in "pq")
-    network += "".join(f"local {c} {m}\n" for c in "xyz" for m in "rs")
-    network += "elink p r\nelink q s\n"
-    f = prepare("qubits a b c x y z\ncx a x\nt c\ncx c z\nt b\nh b\ncx b x\ncx b y\n", network)
+    # operations may. The two gates depend on no operation, so they open
+    # step 1, once each.
+    f = prepare("qubits a b c x y z\ncx a x\nt c\ncx c z\nt b\nh b\ncx b x\ncx b y\n", TWO_LINK_NETWORK)
     from dqcc.flow import Solution, check_solution
 
     sol = Solution(2, {1: 1, 3: 1, 2: 2, 4: 2}, {i: ("P2", "P1") for i in range(1, 5)}, 4)
@@ -301,3 +308,29 @@ def test_local_gate_in_two_steps_cones_is_emitted_once():
     assert [str(g) for b in sched.blocks for g in b.gates].count("h b") == 1
     rep = equivalent(sched.flat(), f.circuit)
     assert rep.equal, rep.max_deviation
+
+
+def test_local_gate_runs_after_the_operations_it_depends_on_only():
+    # The second `h b` shares a layer with the second `cx a x` but depends on
+    # neither operation: like the first, it opens step 1.
+    network = (
+        "processor P1 { comp a b comm p }\nprocessor P2 { comp x comm r }\n"
+        "local a p\nlocal b p\nlocal x r\nelink p r\n"
+    )
+    r = compile("qubits a b x\ncx a x\nh b\nh b\ncx a x\n", network)
+    assert r.schedule.e_depth == 2
+    assert [str(g) for g in r.schedule.blocks[0].gates].count("h b") == 2
+    rep = equivalent(r.schedule.flat(), r.circuit)
+    assert rep.equal, rep.max_deviation
+
+
+@pytest.mark.parametrize("source", ["cx a x\nh a\ncx a y\n", "cx a x\ncx a y\n"])
+def test_schedule_breaking_a_dependency_is_refused(source):
+    # The second operation depends on the first, directly or through `h a`,
+    # yet the schedule runs it a step earlier.
+    f = prepare("qubits a b c x y z\n" + source, TWO_LINK_NETWORK)
+    from dqcc.flow import Solution
+
+    sol = Solution(2, {1: 2, 2: 1}, {1: ("P2", "P1"), 2: ("P2", "P1")}, 2)
+    with pytest.raises(EmitError, match="cx a y in step 1 depends on an operation in step 2"):
+        emit_schedule(sol, f.circuit, f.commodities, f.relations, f.net)
