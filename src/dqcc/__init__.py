@@ -44,12 +44,9 @@ from .relations import RelationTable, build_relations
 from .rewrite import (
     EGate,
     ExtendedCircuit,
-    PauliTerm,
-    forward_measurement_bit,
     lifetime,
     lifetimes,
     push_backward,
-    push_forward,
     rewrite_step,
 )
 

@@ -9,9 +9,7 @@ logically conflicting telegates can share one entanglement round.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .circuit import Commodity, Gate
 
@@ -148,63 +146,6 @@ def lifetime(gates: list[EGate] | tuple[EGate, ...], qubit: str) -> int:
         raise ValueError(f"qubit {qubit!r} lacks an e/m pair in the fragment") from None
 
 
-@dataclass(frozen=True)
-class PauliTerm:
-    """A pending classically-controlled Pauli being commuted rightward."""
-
-    kind: str  # "x" or "z"
-    qubit: str
-    expr: BitExpr
-
-
-def push_forward(pauli: PauliTerm, gate: EGate) -> list[PauliTerm] | None:
-    """Commute a pending Pauli through the next gate on its qubit.
-
-    Returns the equivalent terms placed after the gate, or None when no
-    rule applies (an X against a t gate). Measurements are handled by the
-    caller via forward_measurement_bit.
-    """
-    k, q, expr = pauli.kind, pauli.qubit, pauli.expr
-    if gate.kind == "h":
-        return [PauliTerm("z" if k == "x" else "x", q, expr)]
-    if gate.kind == "t":
-        if k == "z":
-            return [pauli]
-        return None
-    if gate.kind == "cx":
-        ctrl, tgt = gate.qubits
-        if q == ctrl:
-            if k == "x":  # X on control copies onto the target
-                return [pauli, PauliTerm("x", tgt, expr)]
-            return [pauli]  # Z on control commutes
-        if q == tgt:
-            if k == "z":  # Z on target copies onto the control
-                return [pauli, PauliTerm("z", ctrl, expr)]
-            return [pauli]  # X on target commutes
-    return None
-
-
-def forward_measurement_bit(
-    pauli: PauliTerm, meas: EGate, downstream: list[EGate]
-) -> list[EGate]:
-    """Absorb an X sitting right before a measurement into its bit.
-
-    The X is deleted; every later exponent that reads the measured bit is
-    XOR-ed with the X's own exponent. A pending Z only contributes branch
-    phase and is dropped unchanged.
-    """
-    if pauli.kind == "z":
-        return downstream
-    bit = meas.bit
-    out: list[EGate] = []
-    for g in downstream:
-        if g.kind in ("px", "pz") and bit in g.expr:
-            out.append(replace(g, expr=g.expr ^ pauli.expr))
-        else:
-            out.append(g)
-    return out
-
-
 def push_backward(cx_gate: EGate, gate: EGate) -> list[EGate] | None:
     """Move a pre-processing CX left past the gate immediately before it.
 
@@ -238,8 +179,11 @@ def push_backward(cx_gate: EGate, gate: EGate) -> list[EGate] | None:
 
 @dataclass
 class RewriteOutcome:
-    """Result of rewriting one step fragment. The rules applied are counted
-    in ``rewrite_step``'s ``counter``."""
+    """Result of rewriting one step fragment: its gates other than the
+    classically-controlled Paulis, in order, and the Pauli frame left at
+    its end as one ``px``/``pz`` per non-empty (qubit, X|Z) part, sorted
+    by qubit with the Z first. The rules applied are counted in
+    ``rewrite_step``'s ``counter``."""
 
     in_step: list[EGate]
     corrections: list[EGate]
@@ -292,9 +236,11 @@ def rewrite_step(gates: list[EGate], counter: list[int] | None = None) -> Rewrit
 
     Entangling gates float to the front (their qubits are fresh), pre-
     processing CX gates bubble left past intervening local gates to keep
-    communication qubits short-lived, and pending Paulis commute rightward,
-    folding into measurement bits where they meet one. Returns None when a
-    pending Pauli cannot clear the fragment.
+    communication qubits short-lived, and one left-to-right sweep carries
+    the pending Paulis as a frame: h swaps a qubit's X and Z parts, cx
+    copies an X from control to target and a Z from target to control, a
+    measurement drops its qubit's Z and folds its X into the bit's readers.
+    Returns None when a non-empty X part meets a t.
     """
     count = counter if counter is not None else [0]
     entangling = [g for g in gates if g.kind == "e"]
@@ -309,60 +255,48 @@ def rewrite_step(gates: list[EGate], counter: list[int] | None = None) -> Rewrit
             continue
         idx = _bubble_left(work, idx, comm, count) + 1
 
-    # Forward pass: commute every pending Pauli to the fragment end. The
-    # Paulis keep their places until the pass ends, so the positions of
-    # the other gates on each wire are listed once.
+    # Forward pass: one sweep carrying a Pauli frame, (qubit, is an X) ->
+    # exponent, which each gate conjugates in turn.
     in_step: list[EGate] = []
-    paulis: list[int] = []
-    on_wire: defaultdict[str, list[int]] = defaultdict(list)
-    for p, g in enumerate(work):
+    frame: dict[tuple[str, bool], BitExpr] = {}
+    for i, g in enumerate(work):
         if g.kind in ("px", "pz"):
-            paulis.append(p)
-        else:
-            in_step.append(g)
-            for q in g.qubits:
-                on_wire[q].append(p)
-    parked: dict[tuple[str, bool], BitExpr] = {}  # (qubit, is an X) -> exponent
-
-    for pos in paulis:
-        g = work[pos]
-        # Terms as (kind, qubit, exponent, position); a PauliTerm is built
-        # only for the rule that reads one.
-        queue = [("x" if g.kind == "px" else "z", g.qubits[0], g.expr, pos)]
-        for n, (kind, qubit, expr, at) in enumerate(queue):
-            if not expr:
-                continue
-            wire = on_wire.get(qubit, ())
-            w = bisect_left(wire, at)
-            if w == len(wire):
-                key = (qubit, kind == "x")
-                parked[key] = parked.get(key, EMPTY) ^ expr
-                continue
-            nxt = wire[w]
-            gate_n = work[nxt]
-            term = PauliTerm(kind, qubit, expr)
-            if gate_n.kind == "m":
-                count[0] += 1
-                if kind == "x":
-                    later = paulis[bisect_left(paulis, nxt) :]
-                    folded = forward_measurement_bit(term, gate_n, [work[p] for p in later])
-                    for p, pauli in zip(later, folded):
-                        work[p] = pauli
-                    for j in range(n + 1, len(queue)):
-                        kind_j, qubit_j, expr_j, at_j = queue[j]
-                        if gate_n.bit in expr_j:
-                            queue[j] = (kind_j, qubit_j, expr_j ^ expr, at_j)
-                    for key, v in parked.items():
-                        if gate_n.bit in v:
-                            parked[key] = v ^ expr
-                continue
-            res = push_forward(term, gate_n)
-            if res is None:
+            key = (g.qubits[0], g.kind == "px")
+            frame[key] = frame.get(key, EMPTY) ^ g.expr
+            continue
+        in_step.append(g)
+        q = g.qubits[0]
+        if g.kind == "h":
+            x, z = frame.get((q, True), EMPTY), frame.get((q, False), EMPTY)
+            frame[q, True], frame[q, False] = z, x
+            count[0] += bool(x) + bool(z)
+        elif g.kind == "t":
+            if frame.get((q, True)):
                 return None
-            count[0] += 1
-            queue += [(tm.kind, tm.qubit, tm.expr, nxt + 1) for tm in res]
+        elif g.kind == "cx":
+            tgt = g.qubits[1]
+            # An X on the control copies onto the target, a Z on the
+            # target onto the control.
+            for src, dst, is_x in ((q, tgt, True), (tgt, q, False)):
+                part = frame.get((src, is_x))
+                if part:
+                    frame[dst, is_x] = frame.get((dst, is_x), EMPTY) ^ part
+                    count[0] += 1
+        elif g.kind == "m":
+            # A Z before a measurement only changes the branch phase. An X
+            # flips the outcome: every reader of the bit reads the flip too.
+            x, z = frame.pop((q, True), EMPTY), frame.pop((q, False), EMPTY)
+            count[0] += bool(x) + bool(z)
+            if x:
+                for key, part in frame.items():
+                    if g.bit in part:
+                        frame[key] = part ^ x
+                for p in range(i + 1, len(work)):
+                    later = work[p]
+                    if later.kind in ("px", "pz") and g.bit in later.expr:
+                        work[p] = EGate(later.kind, later.qubits, expr=later.expr ^ x)
 
-    corrections = [(px if x else pz)(q, expr) for (q, x), expr in sorted(parked.items()) if expr]
+    corrections = [(px if x else pz)(q, expr) for (q, x), expr in sorted(frame.items()) if expr]
     return RewriteOutcome(in_step, corrections)
 
 
@@ -392,8 +326,11 @@ def bare_telegate(com: Commodity) -> list[EGate]:
 class PredicateStats:
     """Counters backing the polynomial-cost assertions.
 
-    ``recursive_calls`` counts pair evaluations: a pair whose cost is read
-    back from a ``relations.MergeCosts`` table is not counted again.
+    ``rule_applications`` counts each cx that a backward rule moves, and
+    each non-empty Pauli-frame part that an h swaps, a cx copies or a
+    measurement absorbs. ``recursive_calls`` counts pair evaluations: a
+    pair whose cost is read back from a ``relations.MergeCosts`` table is
+    not counted again.
     """
 
     rule_applications: int = 0

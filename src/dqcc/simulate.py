@@ -103,69 +103,11 @@ def _run(
     peak = 1
     gates = _lazy(circuit.gates)
     for gate, dead in zip(gates, _dying_bits(gates)):
-        rows, width = amps.shape
         if len(set(gate.qubits)) < len(gate.qubits):
             raise SimulationError(f"gate {gate} repeats a qubit")
-        if gate.kind == "e":
-            for q in gate.qubits:
-                if q in live:
-                    raise SimulationError(f"entangling gate on live qubit {q!r}")
-            need = 2 * 4 * amps.nbytes  # four times wider, and cx or px copies it
-            if need > MEMORY_BUDGET:
-                raise SimulationError(f"memory budget {MEMORY_BUDGET} B exceeded: {gate} needs {need} B")
-            amps = (amps[:, :, None] * _BELL).reshape(rows, 4 * width)
-            live += gate.qubits
-            continue
-        for q in gate.qubits:
-            if q not in live:
-                raise SimulationError(f"gate {gate} on consumed or unknown qubit {q!r}")
-        axis = live.index(gate.qubits[0])
-        before, after = 1 << axis, width >> (axis + 1)
-        split = amps.reshape(rows, before, 2, after)
-        if gate.kind == "h":
-            zero, one = split[:, :, 0], split[:, :, 1]
-            diff = zero - one
-            zero += one
-            zero *= _S
-            np.multiply(diff, _S, out=one)
-        elif gate.kind == "t":
-            split[:, :, 1] *= _T
-        elif gate.kind == "cx":
-            tensor = amps.reshape((rows,) + (2,) * len(live))
-            low, high = [slice(None)] * tensor.ndim, [slice(None)] * tensor.ndim
-            low[1 + axis] = high[1 + axis] = 1
-            target = 1 + live.index(gate.qubits[1])
-            low[target], high[target] = 0, 1
-            out = tensor.copy()
-            out[tuple(low)], out[tuple(high)] = tensor[tuple(high)], tensor[tuple(low)]
-            amps = out.reshape(rows, width)
-        elif gate.kind in ("px", "pz"):
-            cols = []
-            for bit in gate.expr:
-                if bit not in names:
-                    raise SimulationError(f"gate {gate} reads unmeasured bit {bit!r}")
-                cols.append(names.index(bit))
-            odd = np.array([sum(v[c] for c in cols) % 2 for v in vals], dtype=bool)
-            if gate.kind == "px":
-                split[odd] = split[odd][:, :, ::-1]
-            else:
-                split[odd, :, 1] *= -1.0
-        elif gate.kind == "m":
-            # Row r becomes rows 2r (outcome 0) and 2r + 1 (outcome 1).
-            parts = amps.view(float).reshape(rows, before, 2, 2 * after)
-            weight = np.einsum("rako,rako->rk", parts, parts).reshape(-1)
-            keep = weight > PRUNE_TOL
-            kept, w = np.flatnonzero(keep).tolist(), weight.tolist()
-            pieces = split.transpose(0, 2, 1, 3)[keep.reshape(rows, 2)]
-            amps = pieces.reshape(len(kept), width // 2)
-            amps /= np.sqrt(weight[keep])[:, None]
-            c = names.index(gate.bit) if gate.bit in names else len(names)
-            names = names[:c] + (gate.bit,) + names[c + 1 :]  # type: ignore[operator]
-            probs = [probs[r >> 1] * w[r] for r in kept]
-            vals = [vals[r >> 1][:c] + (r & 1,) + vals[r >> 1][c + 1 :] for r in kept]
-            live = live[:axis] + live[axis + 1 :]
-        else:
-            raise SimulationError(f"unknown gate kind {gate.kind!r}")
+        # The temporaries of a gate die with _apply's frame, so no earlier
+        # array outlives the gate that replaced it.
+        amps, live, names, vals, probs = _apply(gate, amps, live, names, vals, probs)
         peak = max(peak, len(probs))
         if dead:
             cols = [i for i, bit in enumerate(names) if bit not in dead]
@@ -179,6 +121,79 @@ def _run(
     if abs(total - 1.0) > 1e-9:
         raise SimulationError(f"branch probabilities sum to {total}")
     return branches, peak
+
+
+def _apply(
+    gate: EGate,
+    amps: np.ndarray,
+    live: tuple[str, ...],
+    names: tuple[str, ...],
+    vals: list[tuple[int, ...]],
+    probs: list[float],
+) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...], list[tuple[int, ...]], list[float]]:
+    """One gate of ``_run`` on every row: the new amplitude array, live
+    qubits, live-bit names, bit values and probabilities."""
+    rows, width = amps.shape
+    if gate.kind == "e":
+        for q in gate.qubits:
+            if q in live:
+                raise SimulationError(f"entangling gate on live qubit {q!r}")
+        need = 2 * 4 * amps.nbytes  # four times wider, and cx or px copies it
+        if need > MEMORY_BUDGET:
+            raise SimulationError(f"memory budget {MEMORY_BUDGET} B exceeded: {gate} needs {need} B")
+        amps = (amps[:, :, None] * _BELL).reshape(rows, 4 * width)
+        return amps, live + gate.qubits, names, vals, probs
+    for q in gate.qubits:
+        if q not in live:
+            raise SimulationError(f"gate {gate} on consumed or unknown qubit {q!r}")
+    axis = live.index(gate.qubits[0])
+    before, after = 1 << axis, width >> (axis + 1)
+    split = amps.reshape(rows, before, 2, after)
+    if gate.kind == "h":
+        zero, one = split[:, :, 0], split[:, :, 1]
+        diff = zero - one
+        zero += one
+        zero *= _S
+        np.multiply(diff, _S, out=one)
+    elif gate.kind == "t":
+        split[:, :, 1] *= _T
+    elif gate.kind == "cx":
+        tensor = amps.reshape((rows,) + (2,) * len(live))
+        low, high = [slice(None)] * tensor.ndim, [slice(None)] * tensor.ndim
+        low[1 + axis] = high[1 + axis] = 1
+        target = 1 + live.index(gate.qubits[1])
+        low[target], high[target] = 0, 1
+        out = tensor.copy()
+        out[tuple(low)], out[tuple(high)] = tensor[tuple(high)], tensor[tuple(low)]
+        amps = out.reshape(rows, width)
+    elif gate.kind in ("px", "pz"):
+        cols = []
+        for bit in gate.expr:
+            if bit not in names:
+                raise SimulationError(f"gate {gate} reads unmeasured bit {bit!r}")
+            cols.append(names.index(bit))
+        odd = np.array([sum(v[c] for c in cols) % 2 for v in vals], dtype=bool)
+        if gate.kind == "px":
+            split[odd] = split[odd][:, :, ::-1]
+        else:
+            split[odd, :, 1] *= -1.0
+    elif gate.kind == "m":
+        # Row r becomes rows 2r (outcome 0) and 2r + 1 (outcome 1).
+        parts = amps.view(float).reshape(rows, before, 2, 2 * after)
+        weight = np.einsum("rako,rako->rk", parts, parts).reshape(-1)
+        keep = weight > PRUNE_TOL
+        kept, w = np.flatnonzero(keep).tolist(), weight.tolist()
+        pieces = split.transpose(0, 2, 1, 3)[keep.reshape(rows, 2)]
+        amps = pieces.reshape(len(kept), width // 2)
+        amps /= np.sqrt(weight[keep])[:, None]
+        c = names.index(gate.bit) if gate.bit in names else len(names)
+        names = names[:c] + (gate.bit,) + names[c + 1 :]  # type: ignore[operator]
+        probs = [probs[r >> 1] * w[r] for r in kept]
+        vals = [vals[r >> 1][:c] + (r & 1,) + vals[r >> 1][c + 1 :] for r in kept]
+        live = live[:axis] + live[axis + 1 :]
+    else:
+        raise SimulationError(f"unknown gate kind {gate.kind!r}")
+    return amps, live, names, vals, probs
 
 
 def _lazy(gates: tuple[EGate, ...]) -> tuple[EGate, ...]:

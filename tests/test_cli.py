@@ -107,6 +107,27 @@ def test_verify_passes_a_rewritten_three_operation_step(tmp_path, capsys):
     assert code == 0 and "verify_end_to_end=PASS" in out
 
 
+def test_verify_passes_a_step_shared_after_an_x_cancels(tmp_path, capsys):
+    # A seeded ring program (perfbench's ring-batch.0-0257, seed 3) on a
+    # 3-ring with two links per hop. The merged fragment of its third and
+    # fourth remote operations holds `cx q0_1 q0_0; h q2_0; cx q0_0 q0_1`,
+    # which copies the X correction on q0_1 back onto it, so the two copies
+    # cancel before `t q0_1` and the program needs two rounds, not three.
+    circ = tmp_path / "c.circ"
+    net = tmp_path / "n.net"
+    gates = (
+        "h q2_0; t q2_0; cx q0_1 q1_0; h q1_0; cx q2_1 q2_0; cx q2_1 q1_1; cx q2_1 q0_1; "
+        "cx q0_1 q0_0; cx q0_0 q0_1; t q0_1; t q2_0; t q1_1; cx q0_1 q1_0; t q2_0; h q2_0; "
+        "cx q0_1 q2_1; h q2_1; cx q0_0 q2_0"
+    )
+    circ.write_text("qubits q0_0 q0_1 q1_0 q1_1 q2_0 q2_1\n" + gates.replace("; ", "\n") + "\n")
+    net.write_text(ring_network(3, 2, 2))
+    code, out = run_cli(
+        ["compile", "--circuit", circ, "--network", net, "--verify", "--emit-physical"], capsys
+    )
+    assert code == 0 and "e_depth=2" in out.split() and "verify_end_to_end=PASS" in out
+
+
 def test_compile_parse_error_exit_2(files, capsys):
     circ, net, tmp = files
     bad = tmp / "bad.circ"

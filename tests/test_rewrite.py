@@ -4,18 +4,15 @@ from dqcc.circuit import extract_commodities, layerize, parse_circuit
 from dqcc.relations import MergeCosts
 from dqcc.rewrite import (
     ExtendedCircuit,
-    PauliTerm,
     PredicateStats,
     bare_telegate,
     cx,
     e,
-    forward_measurement_bit,
     h,
     lifetime,
     lifetimes,
     m,
     push_backward,
-    push_forward,
     px,
     pz,
     rewrite_step,
@@ -51,47 +48,66 @@ def merged_pair(circ, coms, ci, cj):
     return seq, rewrite_step(seq)
 
 
-# --- push_forward -------------------------------------------------------
+# --- the forward pass: a Pauli frame swept through the fragment ---------
 
 
-def test_forward_x_on_control_duplicates():
-    out = push_forward(PauliTerm("x", "a", B), cx("a", "b"))
-    assert {(p.kind, p.qubit) for p in out} == {("x", "a"), ("x", "b")}
+@pytest.mark.parametrize(
+    "gates, in_step, corrections, rules",
+    [
+        # h swaps a qubit's X and Z parts
+        pytest.param([px("a", B), h("a")], [h("a")], [pz("a", B)], 1, id="x-through-h"),
+        pytest.param([pz("a", B), h("a")], [h("a")], [px("a", B)], 1, id="z-through-h"),
+        # cx copies an X on the control onto the target, a Z on the target
+        # onto the control; the other two parts commute
+        pytest.param([px("a", B), cx("a", "b")], [cx("a", "b")], [px("a", B), px("b", B)], 1,
+                     id="x-on-control-copies"),
+        pytest.param([pz("b", B), cx("a", "b")], [cx("a", "b")], [pz("a", B), pz("b", B)], 1,
+                     id="z-on-target-copies"),
+        pytest.param([pz("a", B), cx("a", "b")], [cx("a", "b")], [pz("a", B)], 0,
+                     id="z-on-control-commutes"),
+        pytest.param([px("b", B), cx("a", "b")], [cx("a", "b")], [px("b", B)], 0,
+                     id="x-on-target-commutes"),
+        # a Z passes a t; an X cannot
+        pytest.param([pz("a", B), t("a")], [t("a")], [pz("a", B)], 0, id="z-through-t"),
+        pytest.param([px("a", B), t("a")], None, None, 0, id="x-refused-at-t"),
+        # an X before a measurement folds into every later reader of the bit
+        pytest.param([px("c", B), m("c", "mb"), px("v", F({"mb"}))], [m("c", "mb")],
+                     [px("v", F({"mb", "b"}))], 1, id="x-folds-into-an-x-reader"),
+        pytest.param([px("c", B), m("c", "mb"), pz("w", F({"mb", "o"}))], [m("c", "mb")],
+                     [pz("w", F({"mb", "o", "b"}))], 1, id="x-folds-into-a-z-reader"),
+        pytest.param([px("c", B), m("c", "mb"), px("u", F({"o"}))], [m("c", "mb")],
+                     [px("u", F({"o"}))], 1, id="x-fold-skips-other-bits"),
+        # a Z before a measurement only changes the branch phase
+        pytest.param([pz("c", B), m("c", "mb"), px("v", F({"mb"}))], [m("c", "mb")],
+                     [px("v", F({"mb"}))], 1, id="z-dropped-at-m"),
+        # an empty exponent changes nothing
+        pytest.param([px("c", F()), m("c", "mb"), px("v", F({"mb"}))], [m("c", "mb")],
+                     [px("v", F({"mb"}))], 0, id="empty-x-at-m"),
+        pytest.param([px("a", F()), t("a")], [t("a")], [], 0, id="empty-x-at-t"),
+    ],
+)
+def test_frame_through_one_gate(gates, in_step, corrections, rules):
+    counter = [0]
+    out = rewrite_step(gates, counter)
+    if in_step is None:
+        assert out is None
+    else:
+        assert (out.in_step, out.corrections) == (in_step, corrections)
+        assert counter == [rules]
 
 
-def test_forward_z_on_target_duplicates():
-    out = push_forward(PauliTerm("z", "b", B), cx("a", "b"))
-    assert {(p.kind, p.qubit) for p in out} == {("z", "a"), ("z", "b")}
-
-
-def test_forward_commuting_cases():
-    assert push_forward(PauliTerm("z", "a", B), cx("a", "b")) == [PauliTerm("z", "a", B)]
-    assert push_forward(PauliTerm("x", "b", B), cx("a", "b")) == [PauliTerm("x", "b", B)]
-
-
-def test_forward_through_t():
-    assert push_forward(PauliTerm("z", "a", B), t("a")) == [PauliTerm("z", "a", B)]
-    assert push_forward(PauliTerm("x", "a", B), t("a")) is None
-
-
-def test_forward_through_h_swaps_kind():
-    assert push_forward(PauliTerm("x", "a", B), h("a")) == [PauliTerm("z", "a", B)]
-    assert push_forward(PauliTerm("z", "a", B), h("a")) == [PauliTerm("x", "a", B)]
-
-
-def test_forward_measurement_bit_rewrites_dependents():
-    meas = m("c", "mb")
-    down = [px("v", F({"mb"})), pz("w", F({"mb", "o"})), px("u", F({"o"}))]
-    out = forward_measurement_bit(PauliTerm("x", "c", B), meas, down)
-    assert out[0].expr == F({"mb", "b"})
-    assert out[1].expr == F({"mb", "o", "b"})
-    assert out[2].expr == F({"o"})
-
-
-def test_forward_measurement_bit_empty_expr_is_noop():
-    down = [px("v", F({"mb"}))]
-    out = forward_measurement_bit(PauliTerm("x", "c", F()), m("c", "mb"), down)
-    assert out == down
+def test_x_cancelled_before_a_t_clears_it():
+    # The X on q1 is copied onto q0, and the second cx copies it back onto
+    # q1, where the two copies cancel before `t q1`.
+    gates = [h("s"), m("s", "b"), px("q1", B), cx("q1", "q0"), cx("q0", "q1"), t("q1")]
+    out = rewrite_step(gates)
+    assert out is not None and out.corrections == [px("q0", B)]
+    register = ("s", "q0", "q1")
+    rep = equivalent_fragments(
+        ExtendedCircuit(register, tuple(out.in_step + out.corrections)),
+        ExtendedCircuit(register, tuple(gates)),
+    )
+    assert rep.equal, rep.max_deviation
 
 
 def test_x_fold_updates_every_reader_of_the_bit():

@@ -255,6 +255,25 @@ def test_idle_program_qubits_stay_out_of_the_check():
     assert not rep.equal
 
 
+def test_a_gate_holds_at_most_two_amplitude_arrays():
+    # Sixteen computation qubits and one pair: the array peaks at 2**18
+    # amplitudes (4 MiB) over every branch. A gate may hold the array it
+    # reads and the one it makes, but no array of an earlier gate.
+    wires = tuple(f"w{i}" for i in range(16))
+    gates = (
+        h("w0"), h("w1"), e("c", "d"), cx("w0", "c"), cx("d", "w1"), h("d"), t("w0"),
+        m("c", "x"), m("d", "y"), pz("w0", F({"y"})), px("w1", F({"x"})),
+    )
+    largest = 2**18 * 16
+    tracemalloc.start()
+    try:
+        run(ExtendedCircuit(wires, gates))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * largest + 2**20
+
+
 def test_pairs_opened_up_front_are_held_only_while_used(monkeypatch):
     # With its references the register has 4 qubits (16 amplitudes, one row
     # between telegates). Each pair opened just before use needs
