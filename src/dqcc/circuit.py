@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from math import inf
+from operator import or_
 
 
 class CircuitError(ValueError):
@@ -88,34 +89,16 @@ class LogicalCircuit:
         """All gates in layer order (source order within a layer)."""
         return [g for layer in self.layers for g in layer]
 
-    @cached_property
-    def _wire_preds(self) -> dict[tuple[Position, str], Position]:
-        """The wire-order dependency DAG, built in one pass on first use:
-        (gate position, qubit) -> position of the previous gate on it."""
-        last: dict[str, Position] = {}
-        preds: dict[tuple[Position, str], Position] = {}
-        for lay, layer in enumerate(self.layers):
-            for slot, gate in enumerate(layer):
-                for q in gate.qubits:
-                    if q in last:
-                        preds[((lay, slot), q)] = last[q]
-                    last[q] = (lay, slot)
-        return preds
+    def _positioned(self) -> list[tuple[Position, Gate]]:
+        """Every gate with its position, in layer order."""
+        return [
+            ((lay, slot), g) for lay, layer in enumerate(self.layers) for slot, g in enumerate(layer)
+        ]
 
-    def cone(self, roots: Iterable[tuple[Position, str]]) -> set[Position]:
-        """The gates the (position, qubit) roots depend on, walking the DAG
-        back from each root's previous gate on its qubit."""
-        preds, layers = self._wire_preds, self.layers
-        todo = list(roots)
-        found: set[Position] = set()
-        while todo:
-            pos, wire = todo.pop()
-            prev = preds.get((pos, wire))
-            if prev is None or prev in found:
-                continue
-            found.add(prev)
-            todo += [(prev, w) for w in layers[prev[0]][prev[1]].qubits]
-        return found
+    def dependencies(self, marks: Mapping[Position, int]) -> dict[Position, int]:
+        """Per gate, the OR of the marks of every gate it depends on, its
+        own mark not counted. One forward pass over the wire order."""
+        return _carry(self._positioned(), marks, 0, or_)
 
     def step_bounds(
         self, steps: Mapping[Position, int]
@@ -125,9 +108,7 @@ class LogicalCircuit:
         depends on (0 if none), and ``high``, the earliest step among those
         that depend on it (``inf`` if none). One forward and one backward
         pass over the wire order."""
-        gates = [
-            ((lay, slot), g) for lay, layer in enumerate(self.layers) for slot, g in enumerate(layer)
-        ]
+        gates = self._positioned()
         return _carry(gates, steps, 0, max), _carry(gates[::-1], steps, inf, min)
 
     def to_text(self) -> str:
@@ -136,15 +117,16 @@ class LogicalCircuit:
         return "\n".join(lines) + "\n"
 
 
-def _carry(gates, steps, none, pick) -> dict[Position, float]:
-    """Each gate's ``pick`` over the gates before it in ``gates``: a running
-    bound per qubit takes in every operation's own step as it passes."""
-    bound: dict[Position, float] = {}
-    running: dict[str, float] = {}
+def _carry(gates, marks, none, join) -> dict:
+    """Each gate's ``join`` over the gates before it in ``gates``: a running
+    value per qubit takes in every gate's own mark as it passes. ``none``
+    is the join's identity; ``max``, ``min`` and ``or_`` all serve."""
+    bound: dict = {}
+    running: dict = {}
     for pos, gate in gates:
-        bound[pos] = pick(running.get(q, none) for q in gate.qubits)
+        bound[pos] = reduce(join, [running.get(q, none) for q in gate.qubits])
         for q in gate.qubits:
-            running[q] = pick(bound[pos], steps.get(pos, none))
+            running[q] = join(bound[pos], marks.get(pos, none))
     return bound
 
 

@@ -349,7 +349,13 @@ def parse_physical(text: str) -> PhysicalSchedule:
         parts = line.split()
         head = parts[0].lower()
         if head == "qubits":
+            if comp is not None:
+                raise EmitError(f"line {lineno}: repeated qubits header")
             comp = tuple(parts[1:])
+            if not comp:
+                raise EmitError(f"line {lineno}: empty qubits header")
+            if len(set(comp)) != len(comp):
+                raise EmitError(f"line {lineno}: duplicate qubit declaration")
             reject_reserved(comp, EmitError, f"line {lineno}: ")
             continue
         if comp is None:

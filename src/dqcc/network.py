@@ -134,7 +134,7 @@ def parse_network(text: str) -> NetworkGraph:
             return comp_of[node]
         if node in comm_of:
             return comm_of[node]
-        raise NetworkError(f"undeclared node {node!r}")
+        raise NetworkError(f"line {lineno}: undeclared node {node!r}")
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
-from .circuit import Commodity, LogicalCircuit, Position, commodity_slots
+from .circuit import Commodity, LogicalCircuit, commodity_slots
 from .rewrite import EGate, PredicateStats, bare_telegate, lifetimes, lift, rewrite_step
 
 # Communication-qubit suffixes of ``bare_telegate`` and their lifetimes
@@ -59,8 +59,8 @@ class MergeCosts:
     its two sub-pairs from the same table, so one relation build evaluates
     each pair once however many longer pairs span it. The remote-gate
     slots, each layer's lifted local gates, each commodity's bare telegate
-    and its dependency cone are computed once per table. ``commodities``
-    come in layer order, as ``extract_commodities`` returns them.
+    and the commodities it depends on are computed once per table.
+    ``commodities`` come in layer order, as ``extract_commodities`` returns them.
     """
 
     def __init__(
@@ -69,7 +69,6 @@ class MergeCosts:
         commodities: list[Commodity],
         stats: PredicateStats | None = None,
     ) -> None:
-        self.circuit = circuit
         self.commodities = commodities
         self.stats = stats if stats is not None else PredicateStats()
         self._slots = commodity_slots(circuit, commodities)
@@ -79,7 +78,9 @@ class MergeCosts:
             for lay, layer in enumerate(circuit.layers)
         ]
         self._layers = [c.layer for c in commodities]
-        self._cones: dict[int, set[Position]] = {}
+        # Bit i of a gate's entry is set when the gate depends on commodity i.
+        marks = {self._slots[c.index]: 1 << c.index for c in commodities}
+        self._depends = circuit.dependencies(marks)
         self._telegates: dict[int, list[EGate]] = {}
         self._costs: dict[tuple[int, int], int | None] = {}
 
@@ -103,13 +104,6 @@ class MergeCosts:
             self._telegates[com.index] = bare_telegate(com)
         return self._telegates[com.index]
 
-    def _cone(self, com: Commodity) -> set[Position]:
-        """Every gate ``com`` depends on, in one walk."""
-        if com.index not in self._cones:
-            roots = [(self._slots[com.index], q) for q in com.operands]
-            self._cones[com.index] = self.circuit.cone(roots)
-        return self._cones[com.index]
-
     def fragment(self, ci: Commodity, cj: Commodity) -> list[EGate]:
         """Sequential fragment: both protocols with the local gates whose
         layers fall inside the pair's span. Other remote operations are
@@ -126,7 +120,7 @@ class MergeCosts:
 
     def _evaluate(self, ci: Commodity, cj: Commodity) -> int | None:
         self.stats.recursive_calls += 1
-        if self._slots[ci.index] not in self._cone(cj):
+        if not self._depends[self._slots[cj.index]] >> ci.index & 1:
             return 0  # cj does not depend on ci, as in every same-layer pair
         lo = bisect_right(self._layers, ci.layer)
         hi = bisect_left(self._layers, cj.layer, lo)

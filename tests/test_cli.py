@@ -1,15 +1,19 @@
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from dqcc import cli
 from dqcc.cli import main
 from dqcc.flow import SolverStats
-from golden_cli import ring_network
 from conftest import EXAMPLE_CIRCUIT, LINE4_NETWORK, hub_chain, hub_network
 from test_reuse import ONE_LINK_NETWORK, PARALLEL_CIRCUIT
+
+# The seeded ring programs and networks that the CI workflow also compiles
+# with the installed console script.
+DATA = Path(__file__).resolve().parent / "data"
 
 TWO_PROCESSORS = (
     "processor P1 { comp q1 comm c1 }\nprocessor P2 { comp q2 comm c2 }\n"
@@ -89,39 +93,24 @@ def test_verify_merges_branches_of_a_long_telegate_chain(tmp_path, capsys):
     assert int(report["verify_peak_branches"]) <= 16
 
 
-def test_verify_passes_a_rewritten_three_operation_step(tmp_path, capsys):
+def test_verify_passes_a_rewritten_three_operation_step(capsys):
     # A seeded ring program (perfbench's ring-batch.0-0369, seed 1) on a
     # 3-ring with one link per hop: step 2 shares one round among three
     # operations, and the rewrite of their fragment must keep its meaning.
-    circ = tmp_path / "c.circ"
-    net = tmp_path / "n.net"
-    gates = (
-        "t q0_0; cx q2_1 q1_0; cx q1_1 q2_0; h q0_0; cx q0_0 q0_1; h q1_0; h q0_1; "
-        "t q1_1; t q1_1; cx q2_1 q0_1; cx q0_0 q1_1; cx q2_0 q0_1"
-    )
-    circ.write_text("qubits q0_0 q0_1 q1_0 q1_1 q2_0 q2_1\n" + gates.replace("; ", "\n") + "\n")
-    net.write_text(ring_network(3, 1, 2))
+    circ, net = DATA / "ring-batch.0-0369.seed1.circ", DATA / "ring-p3-c1-q2.net"
     code, out = run_cli(
         ["compile", "--circuit", circ, "--network", net, "--verify", "--emit-physical"], capsys
     )
     assert code == 0 and "verify_end_to_end=PASS" in out
 
 
-def test_verify_passes_a_step_shared_after_an_x_cancels(tmp_path, capsys):
+def test_verify_passes_a_step_shared_after_an_x_cancels(capsys):
     # A seeded ring program (perfbench's ring-batch.0-0257, seed 3) on a
     # 3-ring with two links per hop. The merged fragment of its third and
     # fourth remote operations holds `cx q0_1 q0_0; h q2_0; cx q0_0 q0_1`,
     # which copies the X correction on q0_1 back onto it, so the two copies
     # cancel before `t q0_1` and the program needs two rounds, not three.
-    circ = tmp_path / "c.circ"
-    net = tmp_path / "n.net"
-    gates = (
-        "h q2_0; t q2_0; cx q0_1 q1_0; h q1_0; cx q2_1 q2_0; cx q2_1 q1_1; cx q2_1 q0_1; "
-        "cx q0_1 q0_0; cx q0_0 q0_1; t q0_1; t q2_0; t q1_1; cx q0_1 q1_0; t q2_0; h q2_0; "
-        "cx q0_1 q2_1; h q2_1; cx q0_0 q2_0"
-    )
-    circ.write_text("qubits q0_0 q0_1 q1_0 q1_1 q2_0 q2_1\n" + gates.replace("; ", "\n") + "\n")
-    net.write_text(ring_network(3, 2, 2))
+    circ, net = DATA / "ring-batch.0-0257.seed3.circ", DATA / "ring-p3-c2-q2.net"
     code, out = run_cli(
         ["compile", "--circuit", circ, "--network", net, "--verify", "--emit-physical"], capsys
     )
@@ -255,6 +244,7 @@ def test_numpy_loads_only_for_verification(files):
     [
         "cx a", "h", "e a", "zc a", "--- step x ---", "cx a a", "e c c", "h _r0",
         "zc a b1_1^", "xc a ^b1_1", "zc a b1_1^^b1_2", "m a -> 0", "m a -> b1^b2",
+        "qubits a b", "qubits zz",
     ],
 )
 def test_verify_rejects_malformed_physical_line(tmp_path, capsys, line):
@@ -265,6 +255,22 @@ def test_verify_rejects_malformed_physical_line(tmp_path, capsys, line):
     code = main(["verify", "--circuit", str(circ), "--physical", str(phys)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [("qubits", "empty qubits header"), ("qubits a a", "duplicate qubit declaration")],
+)
+def test_verify_rejects_a_malformed_physical_header(tmp_path, capsys, header, message):
+    # parse_circuit rejects both headers; the physical parser must as well,
+    # or `qubits a a` / `h a` would pass against `qubits a` / `h a`.
+    circ = tmp_path / "c.circ"
+    phys = tmp_path / "c.physical"
+    circ.write_text("qubits a\nh a\n")
+    phys.write_text(f"{header}\nh a\n")
+    code = main(["verify", "--circuit", str(circ), "--physical", str(phys)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line 1: {message}\n"
 
 
 def exit_code(argv) -> int:

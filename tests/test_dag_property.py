@@ -1,12 +1,13 @@
 """Seeded property tests of the dependency DAG on random layerized circuits
 and random sets of remote gates.
 
-``cone``, the DAG's backward walk, is compared with the algorithm it
-replaced, a forward walk per gate pair, which found that a later gate does
-not depend on an earlier one. The emitter's placement of local gates, read
-from ``step_bounds``, is compared with a definition built from cones alone:
-a step's fragment holds the local gates that depend on one of its
-operations and that one of its operations depends on."""
+``dependencies``, one forward pass over the DAG, is compared with a
+reference kept outside the package: a forward walk per gate pair, which
+finds that a later gate does not depend on an earlier one. The emitter's
+placement of local gates, read from ``step_bounds``, is compared with a
+definition built from that reference alone: a step's fragment holds the
+local gates that depend on one of its operations and that one of its
+operations depends on."""
 
 import pytest
 from hypothesis import given, settings
@@ -45,26 +46,28 @@ def circuits(draw):
     return circ, positions, remote, members
 
 
-def roots(circ, positions):
-    return [(p, q) for p in positions for q in circ.layers[p[0]][p[1]].qubits]
+def ancestors_of(circ, positions, b):
+    """The gates b depends on, by the forward walk."""
+    return {a for a in positions if a[0] < b[0] and not forward_independent(circ, a, b)}
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(circuits())
-def test_cone_matches_the_forward_walk(drawn):
-    circ, positions, remote, members = drawn
+def test_dependencies_match_the_forward_walk(drawn):
+    circ, positions, _, _ = drawn
+    bit = {p: 1 << i for i, p in enumerate(positions)}
+    found = circ.dependencies(bit)
     for b in positions:
+        ancestors = ancestors_of(circ, positions, b)
         for a in positions:
-            if a[0] <= b[0] and a != b:
-                independent = a[0] == b[0] or forward_independent(circ, a, b)
-                assert (a not in circ.cone(roots(circ, [b]))) == independent
+            assert bool(found[b] & bit[a]) == (a in ancestors)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(circuits(), st.data())
 def test_placement_depends_only_on_the_member_set(drawn, data):
     circ, positions, remote, _ = drawn
-    ancestors = {p: circ.cone(roots(circ, [p])) for p in positions}
+    ancestors = {p: ancestors_of(circ, positions, p) for p in positions}
     steps = {p: data.draw(st.integers(1, 4)) for p in sorted(remote)}
     if data.draw(st.booleans()):
         # Raise each step to its latest ancestor's: the schedule respects
@@ -81,7 +84,7 @@ def test_placement_depends_only_on_the_member_set(drawn, data):
     assert sorted(placed) == positions  # every gate exactly once
     for s in set(steps.values()):
         members = {p for p in remote if steps[p] == s}
-        below = circ.cone(roots(circ, members))
+        below = set().union(*(ancestors[m] for m in members))
         between = {p for p in below - remote if ancestors[p] & members}
         assert set(fragments[s]) == members | between
     for s, held in prefixes.items():

@@ -64,6 +64,13 @@ def test_parse_rejects_reserved_node_names(block):
         parse_network(f"processor P1 {{ {block} }}\n")
 
 
+@pytest.mark.parametrize("extra", ["local q1 zz", "elink zz c1"])
+def test_parse_rejects_an_undeclared_node_on_its_line(extra):
+    # TOY_NETWORK ends on line 16, so the added line is line 17.
+    with pytest.raises(NetworkError, match="^line 17: undeclared node 'zz'$"):
+        parse_network(TOY_NETWORK + extra + "\n")
+
+
 def test_parse_rejects_cross_processor_local():
     text = TOY_NETWORK + "local q1 q3\n"
     with pytest.raises(NetworkError, match="crosses processors"):
