@@ -56,9 +56,9 @@ __version__ = "0.1.0"
 # ``simulate`` on first use of one of them (PEP 562), not with the package.
 _SIMULATE_NAMES = frozenset(
     {
+        "Ensemble",
         "EquivalenceReport",
         "SimulationError",
-        "StateBranch",
         "equivalent",
         "equivalent_fragments",
         "run",

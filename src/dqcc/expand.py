@@ -52,7 +52,6 @@ class BoundPath:
     from the control processor to the target processor. ``hops[t]`` holds
     (qubit on the near side, qubit on the far side)."""
 
-    procs: tuple[str, ...]
     hops: tuple[tuple[str, str], ...]
 
 
@@ -238,7 +237,7 @@ def _bind_paths(
                 )
             u, v = links[idx]
             hops.append((u, v) if a == key[0] else (v, u))
-        out[com.index] = BoundPath(procs, tuple(hops))
+        out[com.index] = BoundPath(tuple(hops))
     return out
 
 
@@ -326,8 +325,10 @@ _OPERANDS = {"h": 1, "t": 1, "cx": 2, "e": 2, "zc": 2, "xc": 2}
 
 def parse_physical(text: str) -> PhysicalSchedule:
     """Parse the physical circuit format back into step blocks. A malformed
-    line raises ``EmitError`` naming the line."""
+    line, or a correction reading a bit no earlier line measures, raises
+    ``EmitError`` naming the line."""
     comp: tuple[str, ...] | None = None
+    measured: set[str] = set()
     blocks: list[StepBlock] = []
     current = StepBlock(0, [])
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -376,10 +377,14 @@ def parse_physical(text: str) -> PhysicalSchedule:
             if parts[3] == "0" or "^" in parts[3]:
                 raise EmitError(f"line {lineno}: bit name {parts[3]!r} reads as a parity")
             gate = m(parts[1], parts[3])
+            measured.add(parts[3])
         elif head in ("zc", "xc"):
             bits = parts[2].split("^")
             if "" in bits:
                 raise EmitError(f"line {lineno}: empty bit name in {parts[2]!r}")
+            for b in bits:
+                if b != "0" and b not in measured:
+                    raise EmitError(f"line {lineno}: {head} reads unmeasured bit {b!r}")
             # The exponent is the XOR of its bits: a pair cancels, 0 adds nothing.
             expr = frozenset(b for b, n in Counter(bits).items() if n % 2 and b != "0")
             fn = pz if head == "zc" else px

@@ -235,10 +235,7 @@ def parse_network(text: str) -> NetworkGraph:
 def quotient(net: NetworkGraph) -> QuotientGraph:
     """Compress entanglement links to one edge per processor pair; the
     capacity of an edge is the number of links it stands for."""
-    capacity: dict[Edge, int] = {}
-    for ca, cb in net.links:
-        key = edge_key(net.processor_of(ca), net.processor_of(cb))
-        capacity[key] = capacity.get(key, 0) + 1
+    capacity = {key: len(links) for key, links in links_by_edge(net).items()}
     return QuotientGraph(tuple(sorted(net.processors)), capacity)
 
 

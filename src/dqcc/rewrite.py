@@ -90,16 +90,12 @@ class ExtendedCircuit:
     comp_qubits: tuple[str, ...]
     gates: tuple[EGate, ...]
 
-    def layers(self) -> list[int]:
-        """1-based as-soon-as-possible layer per gate, honouring both qubit
-        contention and bit availability (a controlled Pauli must follow the
-        layer measuring every bit it reads)."""
-        return asap_layers(self.gates)
-
     @property
     def depth(self) -> int:
-        layer = self.layers()
-        return max(layer, default=0)
+        """Layers of the as-soon-as-possible layering, which honours both
+        qubit contention and bit availability (a controlled Pauli must
+        follow the layer measuring every bit it reads)."""
+        return max(asap_layers(self.gates), default=0)
 
 
 def asap_layers(gates: tuple[EGate, ...] | list[EGate]) -> list[int]:

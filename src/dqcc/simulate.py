@@ -30,31 +30,36 @@ class SimulationError(RuntimeError):
 
 
 @dataclass
-class StateBranch:
-    """One measurement branch: a normalized state over the live qubits, the
-    recorded bits that a later gate still reads, and the branch
-    probability."""
+class Ensemble:
+    """The branches of one run, as the rows of one amplitude array.
+
+    Every branch of a run holds the same live qubits and the same live bit
+    names: a gate touches the same wires in each, and a measurement drops
+    the same qubit and records the same bit in each. So row r of ``amps``,
+    of shape (branches, 2**len(qubits)), is a normalized state over
+    ``qubits`` (the first the most significant), ``vals[r]`` its values of
+    the live bits ``bits`` and ``probs[r]`` its probability. ``peak`` is
+    the largest branch count the run held.
+    """
 
     qubits: tuple[str, ...]
-    state: np.ndarray  # tensor of shape (2,) * len(qubits)
-    bits: dict[str, int]
-    probability: float
+    amps: np.ndarray
+    bits: tuple[str, ...]
+    vals: list[tuple[int, ...]]
+    probs: list[float]
+    peak: int
 
-    def state_over(self, order: tuple[str, ...]) -> np.ndarray:
-        """Amplitude tensor with axes permuted to the requested qubit order."""
+    def vectors(self, order: tuple[str, ...]) -> np.ndarray:
+        """The rows, with their columns permuted to the qubit order ``order``."""
         if set(order) != set(self.qubits):
-            raise SimulationError(f"branch holds {self.qubits}, asked for {order}")
-        perm = [self.qubits.index(q) for q in order]
-        return np.transpose(self.state, perm)
+            raise SimulationError(f"ensemble holds {self.qubits}, asked for {order}")
+        rows = len(self.amps)
+        axes = [0] + [1 + self.qubits.index(q) for q in order]
+        tensor = self.amps.reshape((rows,) + (2,) * len(order))
+        return tensor.transpose(axes).reshape(rows, -1)
 
-    def vector(self, order: tuple[str, ...] | None = None) -> np.ndarray:
-        return self.state_over(order or self.qubits).reshape(-1)
 
-
-def run(
-    circuit: ExtendedCircuit,
-    input_state: np.ndarray | None = None,
-) -> list[StateBranch]:
+def run(circuit: ExtendedCircuit, input_state: np.ndarray | None = None) -> Ensemble:
     """Execute an extended circuit, branching on every measurement.
 
     ``input_state`` is a vector over the circuit's computation qubits in
@@ -62,33 +67,16 @@ def run(
     communication qubits in as a Bell pair; measurements project, record
     the bit and drop the qubit. Zero-probability branches are pruned.
 
-    A branch's ``bits`` hold only the live bits: a bit is dropped after the
-    last gate that reads it (at once if no gate does), and branches that
-    then agree on their live bits and on their state up to global phase
-    are merged, their probabilities added. Each entangling gate runs just
-    before the first later gate on either of its qubits, so a pair is held
-    only while it is in use. The output ensemble sum_i p_i |psi_i><psi_i|
-    is unchanged; branch order and qubit order carry no meaning.
+    The ensemble's ``bits`` are only the live bits: a bit is dropped after
+    the last gate that reads it (at once if no gate does), and branches
+    that then agree on their live bits and on their state up to global
+    phase are merged, their probabilities added. Each entangling gate runs
+    just before the first later gate on either of its qubits, so a pair is
+    held only while it is in use. The output ensemble
+    sum_i p_i |psi_i><psi_i| is unchanged; branch order and qubit order
+    carry no meaning.
     """
-    return _run(circuit, input_state)[0]
-
-
-def _run(
-    circuit: ExtendedCircuit, input_state: np.ndarray | None
-) -> tuple[list[StateBranch], int]:
-    """``run`` plus the largest branch count it held.
-
-    Every branch of a run holds the same live qubits and the same live bit
-    names: a gate touches the same wires in each, and a measurement drops
-    the same qubit and records the same bit in each. So the branches are
-    the rows of one amplitude array of shape (branches, 2**live), with a
-    tuple of bit values and a probability per row, and each gate acts on
-    all rows at once. Reshaping the rows to (rows, 2**before, 2, 2**after)
-    exposes a qubit's axis. No other array shares ``amps``'s memory until
-    the branches are returned, so h, t, px and pz write into it in place.
-    """
-    comp = circuit.comp_qubits
-    n = len(comp)
+    n = len(circuit.comp_qubits)
     if input_state is None:
         amps = np.zeros((1, 2**n), dtype=complex)
         amps[0, 0] = 1.0
@@ -96,43 +84,30 @@ def _run(
         amps = np.array(input_state, dtype=complex).reshape(1, -1)
         if amps.shape != (1, 2**n):
             raise SimulationError(f"input state must have length {2**n}")
-    live = tuple(comp)
-    names: tuple[str, ...] = ()  # the live bits, in the order of each row's values
-    vals: list[tuple[int, ...]] = [()]
-    probs = [1.0]
-    peak = 1
+    ens = Ensemble(tuple(circuit.comp_qubits), amps, (), [()], [1.0], 1)
+    del amps  # ens holds the one reference, so a gate frees the array it replaces
     gates = _lazy(circuit.gates)
     for gate, dead in zip(gates, _dying_bits(gates)):
         if len(set(gate.qubits)) < len(gate.qubits):
             raise SimulationError(f"gate {gate} repeats a qubit")
         # The temporaries of a gate die with _apply's frame, so no earlier
         # array outlives the gate that replaced it.
-        amps, live, names, vals, probs = _apply(gate, amps, live, names, vals, probs)
-        peak = max(peak, len(probs))
+        _apply(gate, ens)
+        ens.peak = max(ens.peak, len(ens.probs))
         if dead:
-            cols = [i for i, bit in enumerate(names) if bit not in dead]
-            names = tuple(names[i] for i in cols)
-            amps, vals, probs = _fold(amps, [tuple(v[i] for i in cols) for v in vals], probs)
-    branches = [
-        StateBranch(live, a.reshape((2,) * len(live)), dict(zip(names, v)), p)
-        for a, v, p in zip(amps, vals, probs)
-    ]
-    total = sum(b.probability for b in branches)
+            _fold(ens, dead)
+    total = sum(ens.probs)
     if abs(total - 1.0) > 1e-9:
         raise SimulationError(f"branch probabilities sum to {total}")
-    return branches, peak
+    return ens
 
 
-def _apply(
-    gate: EGate,
-    amps: np.ndarray,
-    live: tuple[str, ...],
-    names: tuple[str, ...],
-    vals: list[tuple[int, ...]],
-    probs: list[float],
-) -> tuple[np.ndarray, tuple[str, ...], tuple[str, ...], list[tuple[int, ...]], list[float]]:
-    """One gate of ``_run`` on every row: the new amplitude array, live
-    qubits, live-bit names, bit values and probabilities."""
+def _apply(gate: EGate, ens: Ensemble) -> None:
+    """One gate on every row of ``ens``. Reshaping the rows to
+    (rows, 2**before, 2, 2**after) exposes a qubit's axis. No other array
+    shares ``ens.amps``'s memory, so h, t, px and pz write into it in
+    place."""
+    amps, live = ens.amps, ens.qubits
     rows, width = amps.shape
     if gate.kind == "e":
         for q in gate.qubits:
@@ -141,8 +116,9 @@ def _apply(
         need = 2 * 4 * amps.nbytes  # four times wider, and cx or px copies it
         if need > MEMORY_BUDGET:
             raise SimulationError(f"memory budget {MEMORY_BUDGET} B exceeded: {gate} needs {need} B")
-        amps = (amps[:, :, None] * _BELL).reshape(rows, 4 * width)
-        return amps, live + gate.qubits, names, vals, probs
+        ens.amps = (amps[:, :, None] * _BELL).reshape(rows, 4 * width)
+        ens.qubits = live + gate.qubits
+        return
     for q in gate.qubits:
         if q not in live:
             raise SimulationError(f"gate {gate} on consumed or unknown qubit {q!r}")
@@ -165,14 +141,14 @@ def _apply(
         low[target], high[target] = 0, 1
         out = tensor.copy()
         out[tuple(low)], out[tuple(high)] = tensor[tuple(high)], tensor[tuple(low)]
-        amps = out.reshape(rows, width)
+        ens.amps = out.reshape(rows, width)
     elif gate.kind in ("px", "pz"):
         cols = []
         for bit in gate.expr:
-            if bit not in names:
+            if bit not in ens.bits:
                 raise SimulationError(f"gate {gate} reads unmeasured bit {bit!r}")
-            cols.append(names.index(bit))
-        odd = np.array([sum(v[c] for c in cols) % 2 for v in vals], dtype=bool)
+            cols.append(ens.bits.index(bit))
+        odd = np.array([sum(v[c] for c in cols) % 2 for v in ens.vals], dtype=bool)
         if gate.kind == "px":
             split[odd] = split[odd][:, :, ::-1]
         else:
@@ -184,16 +160,16 @@ def _apply(
         keep = weight > PRUNE_TOL
         kept, w = np.flatnonzero(keep).tolist(), weight.tolist()
         pieces = split.transpose(0, 2, 1, 3)[keep.reshape(rows, 2)]
-        amps = pieces.reshape(len(kept), width // 2)
-        amps /= np.sqrt(weight[keep])[:, None]
-        c = names.index(gate.bit) if gate.bit in names else len(names)
-        names = names[:c] + (gate.bit,) + names[c + 1 :]  # type: ignore[operator]
-        probs = [probs[r >> 1] * w[r] for r in kept]
-        vals = [vals[r >> 1][:c] + (r & 1,) + vals[r >> 1][c + 1 :] for r in kept]
-        live = live[:axis] + live[axis + 1 :]
+        ens.amps = pieces.reshape(len(kept), width // 2)
+        ens.amps /= np.sqrt(weight[keep])[:, None]
+        bits, vals, probs = ens.bits, ens.vals, ens.probs
+        c = bits.index(gate.bit) if gate.bit in bits else len(bits)
+        ens.bits = bits[:c] + (gate.bit,) + bits[c + 1 :]  # type: ignore[operator]
+        ens.probs = [probs[r >> 1] * w[r] for r in kept]
+        ens.vals = [vals[r >> 1][:c] + (r & 1,) + vals[r >> 1][c + 1 :] for r in kept]
+        ens.qubits = live[:axis] + live[axis + 1 :]
     else:
         raise SimulationError(f"unknown gate kind {gate.kind!r}")
-    return amps, live, names, vals, probs
 
 
 def _lazy(gates: tuple[EGate, ...]) -> tuple[EGate, ...]:
@@ -227,16 +203,18 @@ def _dying_bits(gates: tuple[EGate, ...]) -> list[set[str]]:
     return dying
 
 
-def _fold(
-    amps: np.ndarray, vals: list[tuple[int, ...]], probs: list[float]
-) -> tuple[np.ndarray, list[tuple[int, ...]], list[float]]:
-    """Merge each row into the first surviving row with the same bit values
-    whose state equals its own up to global phase, adding probabilities in
-    row order."""
+def _fold(ens: Ensemble, dead: set[str]) -> None:
+    """Drop the ``dead`` bits, then merge each row into the first surviving
+    row with the same bit values whose state equals its own up to global
+    phase, adding probabilities in row order."""
+    cols = [i for i, bit in enumerate(ens.bits) if bit not in dead]
+    ens.bits = tuple(ens.bits[i] for i in cols)
+    vals = [tuple(v[i] for i in cols) for v in ens.vals]
+    amps = ens.amps
     groups: dict[tuple[int, ...], list[int]] = {}
     kept: list[int] = []
     total: list[float] = []
-    for r, (v, p) in enumerate(zip(vals, probs)):
+    for r, (v, p) in enumerate(zip(vals, ens.probs)):
         group = groups.setdefault(v, [])
         for i in group:
             if abs(np.vdot(amps[kept[i]], amps[r])) >= 1.0 - MERGE_TOL:
@@ -246,7 +224,9 @@ def _fold(
             group.append(len(kept))
             kept.append(r)
             total.append(p)
-    return amps[kept], [vals[r] for r in kept], total
+    ens.amps = amps[kept]
+    ens.vals = [vals[r] for r in kept]
+    ens.probs = total
 
 
 # --- Equivalence checking ------------------------------------------------
@@ -256,17 +236,16 @@ def _fold(
 class EquivalenceReport:
     equal: bool
     max_deviation: float  # squared Hilbert-Schmidt distance of the output ensembles
-    peak_branches: int  # largest branch list either ``run`` of the check held
+    peak_branches: int  # largest branch count either ``run`` of the check held
     # Always "process", the one mode. The field stays only because
     # ``perfbench/tracing.py`` reads it.
     mode: str = "process"
 
 
-def _hs_distance(
-    left: list[StateBranch], right: list[StateBranch], order: tuple[str, ...]
-) -> float:
+def _hs_distance(left: Ensemble, right: Ensemble) -> float:
     """Squared Hilbert-Schmidt distance ||rho_L - rho_R||_F^2 between the
-    output ensembles rho = sum_i p_i |psi_i><psi_i| over ``order``.
+    output ensembles rho = sum_i p_i |psi_i><psi_i|, over the left run's
+    qubit order.
 
     Measurement bits need not agree across the two circuits (rewrites
     re-label outcomes), so only the ensembles are compared. Each trace
@@ -276,10 +255,8 @@ def _hs_distance(
     norm itself would lift it to about 1e-8.
     """
 
-    lv = np.array([b.vector(order) for b in left])
-    rv = np.array([b.vector(order) for b in right])
-    lp = np.array([b.probability for b in left])
-    rp = np.array([b.probability for b in right])
+    lv, rv = left.amps, right.vectors(left.qubits)
+    lp, rp = np.array(left.probs), np.array(right.probs)
 
     def trace_product(av, ap, bv, bp) -> float:
         return float(ap @ (np.abs(av.conj() @ bv.T) ** 2) @ bp)
@@ -322,17 +299,17 @@ def _equivalence(
     touched = {q for g in left + right for q in g.qubits}
     data = tuple(q for q in program if q in touched)
     wide = data + extras
-    out_left, out_right = _surviving(wide, left), _surviving(wide, right)
-    if out_left != out_right:
+    refs = tuple(f"_r{i}" for i in range(len(data)))
+    state = _entangled_input(len(data), len(extras))
+    lo = run(ExtendedCircuit(refs + wide, left), state)
+    ro = run(ExtendedCircuit(refs + wide, right), state)
+    out_left, out_right = (tuple(q for q in o.qubits if q not in refs) for o in (lo, ro))
+    if set(out_left) != set(out_right):
         raise SimulationError(
             f"fragments produce different output registers: {out_left} vs {out_right}"
         )
-    refs = tuple(f"_r{i}" for i in range(len(data)))
-    state = _entangled_input(len(data), len(extras))
-    lb, lpeak = _run(ExtendedCircuit(refs + wide, left), state)
-    rb, rpeak = _run(ExtendedCircuit(refs + wide, right), state)
-    dev = _hs_distance(lb, rb, refs + out_left)
-    return EquivalenceReport(dev <= tol, dev, max(lpeak, rpeak))
+    dev = _hs_distance(lo, ro)
+    return EquivalenceReport(dev <= tol, dev, max(lo.peak, ro.peak))
 
 
 def equivalent_fragments(
@@ -344,18 +321,6 @@ def equivalent_fragments(
     if set(left.comp_qubits) != set(right.comp_qubits):
         raise SimulationError("fragments act on different computation registers")
     return _equivalence(left.gates, right.gates, left.comp_qubits, (), tol)
-
-
-def _surviving(register: tuple[str, ...], gates: tuple[EGate, ...]) -> tuple[str, ...]:
-    alive = list(register)
-    for g in gates:
-        if g.kind == "e":
-            alive.extend(g.qubits)
-        elif g.kind == "m":
-            if g.qubits[0] not in alive:
-                raise SimulationError(f"gate {g} on consumed or unknown qubit {g.qubits[0]!r}")
-            alive.remove(g.qubits[0])
-    return tuple(alive)
 
 
 def equivalent(

@@ -209,7 +209,7 @@ def test_criterion_7_figure_equivalences():
     # single-link telegate against a bare cx
     logical_cx = layerize(parse_circuit("qubits qa qb\ncx qa qb\n"))
     com = extract_commodities(logical_cx, {"qa": "PA", "qb": "PB"})[0]
-    tele = emit_telegate(com, BoundPath(("PA", "PB"), (("cw", "cr"),)), BitAllocator(1))
+    tele = emit_telegate(com, BoundPath((("cw", "cr"),)), BitAllocator(1))
     record("telegate", equivalent(ExtendedCircuit(("qa", "qb"), tuple(tele)), logical_cx, tol=TOL))
 
     # entanglement swap against a bare entangling gate
@@ -225,7 +225,7 @@ def test_criterion_7_figure_equivalences():
 
     # telegate across one intermediate processor
     two_hop = emit_telegate(
-        com, BoundPath(("PA", "PK", "PB"), (("v1", "v2"), ("v3", "v4"))), BitAllocator(1)
+        com, BoundPath((("v1", "v2"), ("v3", "v4"))), BitAllocator(1)
     )
     record("telegate_two_hop", equivalent(ExtendedCircuit(("qa", "qb"), tuple(two_hop)), logical_cx, tol=TOL))
 

@@ -220,7 +220,7 @@ def test_numpy_loads_only_for_verification(files):
     circ, net, tmp = files
     probe = (
         "import sys, dqcc; assert 'numpy' not in sys.modules; "
-        "from dqcc import equivalent, StateBranch; assert 'numpy' in sys.modules"
+        "from dqcc import equivalent, Ensemble; assert 'numpy' in sys.modules"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -244,7 +244,7 @@ def test_numpy_loads_only_for_verification(files):
     [
         "cx a", "h", "e a", "zc a", "--- step x ---", "cx a a", "e c c", "h _r0",
         "zc a b1_1^", "xc a ^b1_1", "zc a b1_1^^b1_2", "m a -> 0", "m a -> b1^b2",
-        "qubits a b", "qubits zz",
+        "qubits a b", "qubits zz", "zc a y",
     ],
 )
 def test_verify_rejects_malformed_physical_line(tmp_path, capsys, line):
@@ -324,6 +324,16 @@ def test_verify_rejects_a_second_measurement_of_one_qubit(tmp_path, capsys):
     phys.write_text("qubits q1 q2\nm q1 -> a\nm q1 -> b\n")
     assert main(["verify", "--circuit", str(circ), "--physical", str(phys)]) == 4
     assert capsys.readouterr().err == "error: gate m q1 -> b on consumed or unknown qubit 'q1'\n"
+
+
+def test_verify_rejects_a_physical_file_that_leaves_a_pair_unmeasured(tmp_path, capsys):
+    circ, phys = tmp_path / "c.circ", tmp_path / "c.physical"
+    circ.write_text("qubits a b\ncx a b\n")
+    phys.write_text("qubits a b\ne c d\ncx a b\n")
+    assert main(["verify", "--circuit", str(circ), "--physical", str(phys)]) == 4
+    assert capsys.readouterr().err == (
+        "error: fragments produce different output registers: ('a', 'b', 'c', 'd') vs ('a', 'b')\n"
+    )
 
 
 def test_verify_reads_a_repeated_correction_bit_as_xor(tmp_path, capsys):

@@ -66,7 +66,7 @@ def fig3_commodity():
 
 def test_emit_telegate_single_hop_shape():
     com, _ = fig3_commodity()
-    gates = emit_telegate(com, BoundPath(("PA", "PB"), (("cw", "cr"),)), BitAllocator(1))
+    gates = emit_telegate(com, BoundPath((("cw", "cr"),)), BitAllocator(1))
     assert [str(g) for g in gates] == [
         "e cw cr",
         "cx qa cw",
@@ -81,7 +81,7 @@ def test_emit_telegate_single_hop_shape():
 
 def test_emit_telegate_single_hop_equals_cx():
     com, circ = fig3_commodity()
-    gates = emit_telegate(com, BoundPath(("PA", "PB"), (("cw", "cr"),)), BitAllocator(1))
+    gates = emit_telegate(com, BoundPath((("cw", "cr"),)), BitAllocator(1))
     rep = equivalent(ExtendedCircuit(("qa", "qb"), tuple(gates)), circ)
     assert rep.equal
 
@@ -89,7 +89,7 @@ def test_emit_telegate_single_hop_equals_cx():
 @pytest.mark.parametrize("m", (2, 3))
 def test_emit_telegate_over_path_equals_cx(m):
     com, circ = fig3_commodity()
-    bound = BoundPath(tuple(f"P{t}" for t in range(m + 1)), tuple(hops(m)))
+    bound = BoundPath(tuple(hops(m)))
     gates = emit_telegate(com, bound, BitAllocator(1))
     rep = equivalent(ExtendedCircuit(("qa", "qb"), tuple(gates)), circ)
     assert rep.equal, rep.max_deviation

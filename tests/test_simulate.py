@@ -8,8 +8,8 @@ from dqcc import simulate
 from dqcc.circuit import parse_circuit
 from dqcc.rewrite import ExtendedCircuit, cx, e, h, m, px, pz, t
 from dqcc.simulate import (
+    Ensemble,
     SimulationError,
-    StateBranch,
     _hs_distance,
     equivalent,
     equivalent_fragments,
@@ -34,28 +34,37 @@ def telegate(qc, qt, cw, cr, bw, br):
 
 
 def test_single_entangling_gate_amplitudes():
-    branches = run(ExtendedCircuit((), (e("a", "b"),)))
-    assert len(branches) == 1
-    vec = branches[0].vector(("a", "b"))
+    ens = run(ExtendedCircuit((), (e("a", "b"),)))
+    assert len(ens.probs) == 1
+    vec = ens.vectors(("a", "b"))[0]
     assert np.allclose(vec, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
 
 def test_empty_circuit_keeps_input():
     state = np.array([0.6, 0.8j], dtype=complex)
-    branches = run(ExtendedCircuit(("q",), ()), state)
-    assert len(branches) == 1
-    assert np.allclose(branches[0].vector(("q",)), state)
+    ens = run(ExtendedCircuit(("q",), ()), state)
+    assert len(ens.probs) == 1
+    assert np.allclose(ens.vectors(("q",))[0], state)
+
+
+def test_vectors_permute_the_columns_of_every_row():
+    ens = Ensemble(("a", "b"), np.eye(4, dtype=complex)[[1, 2]], (), [(), ()], [0.5, 0.5], 2)
+    # Row 0 is |01> over (a, b), row 1 is |10>; over (b, a) they swap.
+    assert np.array_equal(ens.vectors(("b", "a")), np.eye(4)[[2, 1]])
+    assert np.array_equal(ens.vectors(("a", "b")), ens.amps)
+    with pytest.raises(SimulationError, match="holds"):
+        ens.vectors(("a", "c"))
 
 
 def test_telegate_on_10_gives_11_in_all_branches():
     circ = ExtendedCircuit(("qa", "qb"), telegate("qa", "qb", "c1", "c2", "b1", "b2"))
     inp = np.zeros(4, dtype=complex)
     inp[2] = 1.0  # |10>
-    branches = run(circ, inp)
+    ens = run(circ, inp)
     # The corrections make the four outcomes one state, so they merge.
-    assert len(branches) == 1
-    assert abs(branches[0].probability - 1.0) < 1e-12
-    assert abs(branches[0].vector(("qa", "qb"))[3]) > 1 - 1e-12
+    assert len(ens.probs) == 1
+    assert abs(ens.probs[0] - 1.0) < 1e-12
+    assert abs(ens.vectors(("qa", "qb"))[0, 3]) > 1 - 1e-12
 
 
 def test_branch_probabilities_sum_to_one():
@@ -63,8 +72,8 @@ def test_branch_probabilities_sum_to_one():
     rng = np.random.default_rng(3)
     vec = rng.normal(size=4) + 1j * rng.normal(size=4)
     vec /= np.linalg.norm(vec)
-    branches = run(circ, vec)
-    assert abs(sum(b.probability for b in branches) - 1.0) < 1e-12
+    ens = run(circ, vec)
+    assert abs(sum(ens.probs) - 1.0) < 1e-12
 
 
 def test_corrections_make_branches_agree():
@@ -74,26 +83,24 @@ def test_corrections_make_branches_agree():
     rng = np.random.default_rng(5)
     vec = rng.normal(size=4) + 1j * rng.normal(size=4)
     vec /= np.linalg.norm(vec)
-    branches = run(circ, vec)
-    ref = branches[0].vector(("qa", "qb"))
-    for b in branches[1:]:
-        other = b.vector(("qa", "qb"))
+    ref, *others = run(circ, vec).vectors(("qa", "qb"))
+    for other in others:
         assert abs(abs(np.vdot(ref, other)) - 1.0) < 1e-12
 
 
 def test_measurement_free_circuit_single_branch():
     circ = ExtendedCircuit(("q",), (h("q"), t("q"), h("q")))
-    assert len(run(circ)) == 1
+    assert len(run(circ).probs) == 1
 
 
 def test_deterministic_measurement_prunes_branches():
     # h then h restores |0>, so the measurement has one surviving branch;
     # the bit is dropped after px reads it, and r left in |0> shows b = 0.
     circ = ExtendedCircuit(("q", "r"), (h("q"), h("q"), m("q", "b"), px("r", F({"b"}))))
-    branches = run(circ)
-    assert len(branches) == 1 and branches[0].bits == {}
-    assert abs(branches[0].probability - 1.0) < 1e-12
-    assert abs(branches[0].vector(("r",))[0]) > 1 - 1e-12
+    ens = run(circ)
+    assert len(ens.probs) == 1 and ens.bits == () and ens.vals == [()]
+    assert abs(ens.probs[0] - 1.0) < 1e-12
+    assert abs(ens.vectors(("r",))[0, 0]) > 1 - 1e-12
 
 
 def test_gate_on_consumed_qubit_rejected():
@@ -133,7 +140,7 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
     with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
         run(circuit)
     monkeypatch.setattr(simulate, "MEMORY_BUDGET", 8192)
-    assert len(run(circuit)) == 2  # the px reads the last of each bit
+    assert len(run(circuit).probs) == 2  # the px reads the last of each bit
 
 
 # Two measurements leave four branches with one state. b1 is read by no
@@ -150,7 +157,7 @@ BUDGET = 2**21 - 1
 
 
 def test_split_run_holds_two_branches():
-    assert len(run(ExtendedCircuit(WIDE, SPLIT + JOIN))) == 2
+    assert len(run(ExtendedCircuit(WIDE, SPLIT + JOIN)).probs) == 2
 
 
 @pytest.mark.parametrize(
@@ -187,16 +194,14 @@ def test_ensemble_distance_weighs_probabilities():
     # Every state of one side appears on the other, but with other weights:
     # rho_L = diag(.5, .5) against rho_R = diag(.9, .1).
     zero, one = np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex)
-    left = [StateBranch(("q",), zero, {}, 0.5), StateBranch(("q",), one, {}, 0.5)]
-    right = [
-        StateBranch(("q",), zero, {"a": 0}, 0.9),
-        StateBranch(("q",), one, {"a": 1}, 0.05),
-        StateBranch(("q",), 1j * one, {"a": 1}, 0.05),
-    ]
-    assert abs(_hs_distance(left, right, ("q",)) - 0.32) < 1e-12
+    left = Ensemble(("q",), np.array([zero, one]), (), [(), ()], [0.5, 0.5], 2)
+    right = Ensemble(
+        ("q",), np.array([zero, one, 1j * one]), ("a",), [(0,), (1,), (1,)], [0.9, 0.05, 0.05], 3
+    )
+    assert abs(_hs_distance(left, right) - 0.32) < 1e-12
     # Labels, order and global phase do not count.
-    same = [StateBranch(("q",), -one, {"b": 1}, 0.5), StateBranch(("q",), 1j * zero, {}, 0.5)]
-    assert _hs_distance(left, same, ("q",)) < 1e-15
+    same = Ensemble(("q",), np.array([-one, 1j * zero]), ("b",), [(1,), (0,)], [0.5, 0.5], 2)
+    assert _hs_distance(left, same) < 1e-15
 
 
 def test_swap_fragment_equals_bare_entanglement():
@@ -216,6 +221,15 @@ def test_swap_fragment_equals_bare_entanglement():
     bare = ExtendedCircuit((), (e("cu", "cr"),))
     rep = equivalent_fragments(swap, bare)
     assert rep.equal
+
+
+def test_fragments_with_different_output_registers_are_rejected():
+    # The reference wires the check adds are not part of the message.
+    left = ExtendedCircuit(("q",), (h("q"), e("c", "d")))
+    right = ExtendedCircuit(("q",), (h("q"),))
+    message = "fragments produce different output registers: ('q', 'c', 'd') vs ('q',)"
+    with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+        equivalent_fragments(left, right)
 
 
 def test_sampled_fallback_mode():

@@ -130,8 +130,9 @@ def test_merged_run_keeps_the_ensemble(circuit, seed):
     unmerged = reference(circuit, vec)
 
     order = unmerged[0][0]
-    ran = [(b.qubits, b.state, b.probability) for b in merged]
+    shape = (2,) * len(merged.qubits)
+    ran = [(merged.qubits, a.reshape(shape), p) for a, p in zip(merged.amps, merged.probs)]
     diff = density(ran, order) - density(unmerged, order)
     assert float(np.sum(np.abs(diff) ** 2)) <= 1e-12
-    assert abs(sum(b.probability for b in merged) - 1.0) < 1e-12
-    assert len(merged) <= len(unmerged)
+    assert abs(sum(merged.probs) - 1.0) < 1e-12
+    assert len(merged.probs) <= len(unmerged)
