@@ -22,6 +22,23 @@ def reject_reserved(names: Iterable[str], error: type[Exception], where: str = "
             raise error(f"{where}qubit name {name!r}: the prefix '_' is reserved")
 
 
+def _declare(qubits: tuple[str, ...], where: str = "") -> frozenset[str]:
+    """The declared qubit names; raises ``CircuitError`` on a repeated or
+    reserved one, its message prefixed by ``where``."""
+    declared = frozenset(qubits)
+    if len(declared) != len(qubits):
+        raise CircuitError(f"{where}duplicate qubit declaration")
+    reject_reserved(qubits, CircuitError, where)
+    return declared
+
+
+def _check_declared(gate: Gate, declared: frozenset[str], where: str = "") -> None:
+    """Raise ``CircuitError`` on the first qubit of ``gate`` not declared."""
+    for q in gate.qubits:
+        if q not in declared:
+            raise CircuitError(f"{where}undeclared qubit {q!r}")
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate of the local universal set. ``qubits`` is (q,) for h/t and
@@ -67,16 +84,12 @@ class LogicalCircuit:
     layers: tuple[Layer, ...]
 
     def __post_init__(self) -> None:
-        declared = set(self.qubits)
-        if len(declared) != len(self.qubits):
-            raise CircuitError("duplicate qubit declaration")
-        reject_reserved(self.qubits, CircuitError)
+        declared = _declare(self.qubits)
         for layer in self.layers:
             seen: set[str] = set()
             for gate in layer:
+                _check_declared(gate, declared)
                 for q in gate.qubits:
-                    if q not in declared:
-                        raise CircuitError(f"undeclared qubit {q!r}")
                     if q in seen:
                         raise CircuitError(f"layer reuses qubit {q!r}")
                     seen.add(q)
@@ -159,6 +172,7 @@ def parse_circuit(text: str) -> LogicalCircuit:
     (``h <q>``, ``t <q>``, ``cx <qc> <qt>``). ``#`` starts a comment.
     """
     qubits: tuple[str, ...] | None = None
+    declared: frozenset[str] = frozenset()
     gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -172,21 +186,21 @@ def parse_circuit(text: str) -> LogicalCircuit:
             if not args:
                 raise CircuitError(f"line {lineno}: empty qubits header")
             qubits = tuple(args)
+            declared = _declare(qubits, f"line {lineno}: ")
             continue
         if qubits is None:
             raise CircuitError(f"line {lineno}: gate before qubits header")
         if head not in ("h", "t", "cx"):
             raise CircuitError(f"line {lineno}: unknown gate name {head!r}")
         try:
-            gates.append(Gate(head, tuple(args)))
+            gate = Gate(head, tuple(args))
         except CircuitError as exc:
             raise CircuitError(f"line {lineno}: {exc}") from None
+        _check_declared(gate, declared, f"line {lineno}: ")
+        gates.append(gate)
     if qubits is None:
         raise CircuitError("missing qubits header")
-    try:
-        return LogicalCircuit(qubits, tuple((g,) for g in gates))
-    except CircuitError as exc:
-        raise CircuitError(str(exc)) from None
+    return LogicalCircuit(qubits, tuple((g,) for g in gates))
 
 
 def layerize(circuit: LogicalCircuit) -> LogicalCircuit:

@@ -46,6 +46,21 @@ def test_parse_errors():
         LogicalCircuit(("a", "_c1a"), ())
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("qubits q1 q2\nh q1\ncx q1 q9\n", "line 3: undeclared qubit 'q9'"),
+        ("qubits q1 q1\n", "line 1: duplicate qubit declaration"),
+        ("qubits _r0\nh _r0\n", "line 1: qubit name '_r0': the prefix '_' is reserved"),
+    ],
+    ids=["undeclared", "duplicate", "reserved"],
+)
+def test_parse_errors_name_their_line(text, message):
+    with pytest.raises(CircuitError) as info:
+        parse_circuit(text)
+    assert str(info.value) == message
+
+
 def test_layerize_example_circuit():
     circ = layerize(parse_circuit(EXAMPLE_CIRCUIT))
     assert circ.depth == 7

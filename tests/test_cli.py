@@ -239,6 +239,51 @@ def test_numpy_loads_only_for_verification(files):
     assert "numpy" not in proc.stderr
 
 
+# The package's public names by the module that defines them.
+PUBLIC = {
+    "circuit": "CircuitError Commodity Gate LogicalCircuit extract_commodities layerize parse_circuit",
+    "expand": "BoundPath EmitError PhysicalSchedule emit_schedule emit_telegate "
+    "entanglement_path_fragment parse_physical",
+    "flow": "InstanceTooLarge NoSolutionError Solution SolverStats brute_force_oracle "
+    "check_solution dump_solution e_depth quickest solve_fixed_horizon",
+    "network": "NetworkError NetworkGraph QuotientGraph parse_network quotient",
+    "relations": "RelationTable build_relations",
+    "rewrite": "EGate ExtendedCircuit lifetime lifetimes push_backward rewrite_step",
+    "simulate": "Ensemble EquivalenceReport SimulationError equivalent equivalent_fragments run",
+}
+
+LOADED = "sorted(m for m in sys.modules if m.startswith('dqcc.'))"
+IMPORT_PROBES = {
+    "bare": f"import sys, dqcc; assert {LOADED} == [], {LOADED}",
+    "one-name": f"import sys; from dqcc import parse_circuit; assert {LOADED} == ['dqcc.circuit'], {LOADED}",
+    "every-name": (
+        "import importlib, dqcc\n"
+        f"public = {PUBLIC!r}\n"
+        "assert sorted(dqcc.__all__) == sorted(n for ns in public.values() for n in ns.split())\n"
+        "for module, names in public.items():\n"
+        "    for name in names.split():\n"
+        "        assert getattr(dqcc, name) is getattr(importlib.import_module('dqcc.' + module), name), name\n"
+        "        assert name in dir(dqcc), name\n"
+    ),
+    "submodule": "import dqcc; dqcc.flow.quickest",
+    "star": "from dqcc import *; import dqcc; assert [n for n in dqcc.__all__ if n not in globals()] == []",
+}
+
+
+@pytest.mark.parametrize("probe", IMPORT_PROBES.values(), ids=IMPORT_PROBES)
+def test_each_name_loads_only_its_module(probe):
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_package_name_raises_attribute_error():
+    import dqcc
+
+    with pytest.raises(AttributeError) as info:
+        dqcc.no_such
+    assert str(info.value) == "module 'dqcc' has no attribute 'no_such'"
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -305,7 +350,16 @@ def test_reserved_qubit_name_exits_2(tmp_path, capsys, text, command):
     else:
         argv = ["verify", "--circuit", circ, "--physical", circ]
     assert exit_code(argv) == 2
-    assert capsys.readouterr().err == f"error: qubit name {name!r}: the prefix '_' is reserved\n"
+    assert capsys.readouterr().err == f"error: line 1: qubit name {name!r}: the prefix '_' is reserved\n"
+
+
+def test_undeclared_qubit_exits_2_naming_its_line(tmp_path, capsys):
+    circ = tmp_path / "c.circ"
+    circ.write_text("qubits q1 q2\nh q1\ncx q1 q9\n")
+    net = tmp_path / "n.net"
+    net.write_text("processor P0 { comp q1 q2 }\n")  # never read: the circuit fails first
+    assert exit_code(["compile", "--circuit", circ, "--network", net]) == 2
+    assert capsys.readouterr().err == "error: line 3: undeclared qubit 'q9'\n"
 
 
 def test_verifier_memory_refusal_exits_4(files, capsys, monkeypatch):
